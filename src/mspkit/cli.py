@@ -25,11 +25,15 @@ from .ptypes import partition_types
 DEFAULT_GEN_DEPTH = 12
 
 
-def _max_n_cap() -> int:
+def _max_n_cap(parser: argparse.ArgumentParser) -> int:
+    raw = os.environ.get("MSPKIT_MAX_N", "30")
     try:
-        return int(os.environ.get("MSPKIT_MAX_N", "30"))
+        cap = int(raw)
     except ValueError:
-        return 30
+        cap = -1
+    if cap < 0:
+        parser.error(f"MSPKIT_MAX_N must be a nonnegative integer, got {raw!r}")
+    return cap
 
 
 def _parse_coeffs(text: str) -> tuple[Fraction, ...]:
@@ -103,15 +107,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_cap(parser: argparse.ArgumentParser, value: int, name: str):
-    cap = _max_n_cap()
+    cap = _max_n_cap(parser)
     if value > cap:
         parser.error(f"{name}={value} exceeds the MSPKIT_MAX_N cap ({cap})")
     if value < 0:
         parser.error(f"{name} must be nonnegative")
-
-
-def _value_str(v: Fraction) -> str:
-    return str(v)
 
 
 def _cmd_msp_gen(parser, args) -> int:
@@ -207,15 +207,15 @@ def _cmd_series_revert(parser, args) -> int:
     }
     if args.path != "all":
         result = paths[args.path](f)
-        print(json.dumps({"inverse": [_value_str(v) for v in result]}))
+        print(json.dumps({"inverse": [str(v) for v in result]}))
         return 0
     results = {name: fn(f) for name, fn in paths.items()}
     values = list(results.values())
     if values[0] == values[1] == values[2]:
-        print(json.dumps({"inverse": [_value_str(v) for v in values[0]]}))
+        print(json.dumps({"inverse": [str(v) for v in values[0]]}))
         return 0
     payload = {
-        "paths": {name: [_value_str(v) for v in r] for name, r in results.items()}
+        "paths": {name: [str(v) for v in r] for name, r in results.items()}
     }
     print(json.dumps(payload))
     print("error: reversion paths disagree", file=sys.stderr)
@@ -232,7 +232,7 @@ def _cmd_series_compose(parser, args) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     result = series.egf_compose(f, g, args.order)
-    print(json.dumps({"composition": [_value_str(v) for v in result]}))
+    print(json.dumps({"composition": [str(v) for v in result]}))
     return 0
 
 
@@ -247,7 +247,7 @@ def _cmd_series_exp_transform(parser, args) -> int:
     rows = series.exp_transform(f, args.order)
     payload = {
         "rows": [
-            [_value_str(row.coefficient(k)) for k in range(n + 1)]
+            [str(row.coefficient(k)) for k in range(n + 1)]
             for n, row in enumerate(rows, start=1)
         ]
     }

@@ -15,7 +15,8 @@ vectors drive everything else in the library:
     stirling_fn  the signed coefficient function of the first-kind
                  Stirling polynomials, defined on types in P(2n-1-k, n-1)
 
-All four are exact integers; divisibility is asserted, never rounded.
+All four are exact integers; a division that leaves a remainder raises
+ValueError (also under python -O), it is never rounded.
 """
 
 from __future__ import annotations
@@ -96,7 +97,8 @@ def cycle_fn(pt: PartitionType) -> int:
     num = order_fn(pt)
     den = prod((j + 1) ** x for j, x in enumerate(pt.r))
     q, rem = divmod(num, den)
-    assert rem == 0, f"cycle_fn not integral on {pt}"
+    if rem:
+        raise ValueError(f"cycle_fn not integral on {pt}")
     return q
 
 
@@ -105,7 +107,8 @@ def subset_fn(pt: PartitionType) -> int:
     num = order_fn(pt)
     den = prod(factorial(j + 1) ** x for j, x in enumerate(pt.r))
     q, rem = divmod(num, den)
-    assert rem == 0, f"subset_fn not integral on {pt}"
+    if rem:
+        raise ValueError(f"subset_fn not integral on {pt}")
     return q
 
 
@@ -135,5 +138,6 @@ def stirling_fn(pt: PartitionType) -> int:
             continue
         den *= factorial(x) * factorial(j + 1) ** x
     q, rem = divmod(num, den)
-    assert rem == 0, f"stirling_fn not integral on {pt}"
+    if rem:
+        raise ValueError(f"stirling_fn not integral on {pt}")
     return q if (n - 1 - r1) % 2 == 0 else -q

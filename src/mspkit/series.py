@@ -12,16 +12,27 @@ inverse) is computed by three structurally independent paths:
 
 The three must agree exactly; the verify module and the test suite compare
 them on random rational inputs.
+
+Numeric values of the polynomial families run on Python ints: the inputs
+are scaled to a_j = D*f_j, with D the lcm of their denominators, and each
+result is divided back once, exactly.
+
+    egf_compose, exp_transform        B_{n,k}(g) read from one triangle built
+                                      by the Prop 5.5 convolution
+                                      B_{n,k} = sum_j C(n-1,j-1) g_j B_{n-j,k-1}
+    revert_msp, exp_transform_inverse S_{n,k}(f)/f_1^(2n-1) as the explicit
+                                      type sum over P(2n-1-k, n-1) with
+                                      stirling_fn weights
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm
 
 from . import msp
-from .ptypes import partition_types, stirling_fn, subset_fn
+from .ptypes import partition_types, stirling_fn
 
 
 @dataclass(frozen=True)
@@ -109,32 +120,46 @@ class TPoly:
 # ---------------------------------------------------------------------------
 
 
-def _bell_value(n: int, k: int, f) -> Fraction:
-    """B_{n,k}(f_1, ..., f_{n-k+1}) by direct subset-function summation."""
-    if k == 0:
-        return Fraction(1 if n == 0 else 0)
-    total = Fraction(0)
-    for pt in partition_types(n, k):
-        v = Fraction(subset_fn(pt))
-        for j, r in enumerate(pt.r):
-            if r:
-                v *= f(j + 1) ** r
-        total += v
-    return total
+def _cleared(f: EgfCoeffs, order: int) -> tuple[int, list[int]]:
+    """(D, a) with D the lcm of the denominators of f_1..f_order and the
+    integers a_j = D*f_j at a[j] (a[0] = 0)."""
+    cs = [f.f(j) for j in range(1, order + 1)]
+    D = lcm(*(c.denominator for c in cs))
+    return D, [0] + [c.numerator * (D // c.denominator) for c in cs]
 
 
-def _lie_value(n: int, k: int, f) -> Fraction:
-    """S_{n,k}(f_1, ...) / f_1^(2n-1) by direct signed summation."""
-    if k == 0:
-        return Fraction(1 if n == 0 else 0)
-    total = Fraction(0)
+def _bell_triangle(g: EgfCoeffs, order: int) -> tuple[int, list[list[int]]]:
+    """(D, T) with B_{n,k}(g_1, ..., g_{n-k+1}) = T[n][k] / D^k, 0 <= k <= n <= order.
+
+    Prop 5.5, B_{n,k} = sum_j C(n-1,j-1) g_j B_{n-j,k-1}, run on the cleared
+    integers a_j = D*g_j; B_{n,k} is homogeneous of degree k.
+    """
+    D, a = _cleared(g, order)
+    T = [[1]]
+    for n in range(1, order + 1):
+        ca = [0] + [comb(n - 1, j - 1) * a[j] for j in range(1, n + 1)]
+        row = [0] * (n + 1)
+        for k in range(1, n + 1):
+            row[k] = sum(ca[j] * T[n - j][k - 1] for j in range(1, n - k + 2) if ca[j])
+        T.append(row)
+    return D, T
+
+
+def _lie_value(n: int, k: int, D: int, a: list[int]) -> Fraction:
+    """S_{n,k}(f_1, ...) / f_1^(2n-1) by direct signed summation over
+    P(2n-1-k, n-1), on the cleared integers a_j = D*f_j.
+
+    S_{n,k} is homogeneous of degree n-1, so the value is
+    total * D^n / a_1^(2n-1).
+    """
+    total = 0
     for pt in partition_types(2 * n - 1 - k, n - 1):
-        v = Fraction(stirling_fn(pt))
+        v = stirling_fn(pt)
         for j, r in enumerate(pt.r):
             if r:
-                v *= f(j + 1) ** r
+                v *= a[j + 1] ** r
         total += v
-    return total / f(1) ** (2 * n - 1)
+    return Fraction(total * D**n, a[1] ** (2 * n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +190,18 @@ def egf_compose(f: EgfCoeffs, g: EgfCoeffs, order: int | None = None) -> EgfCoef
     """Composition f(g(x)) to the given order via h_n = sum_k B_{n,k}(g) f_k."""
     if order is None:
         order = min(f.order, g.order)
-    out = []
-    for n in range(1, order + 1):
-        out.append(
-            sum((_bell_value(n, k, g.f) * f.f(k) for k in range(1, n + 1)), Fraction(0))
+    D, T = _bell_triangle(g, order)
+    E, b = _cleared(f, order)
+    # h_n = sum_k (T[n][k] / D^k) (b_k / E), over the common denominator E*D^n
+    return EgfCoeffs(
+        tuple(
+            Fraction(
+                sum(T[n][k] * b[k] * D ** (n - k) for k in range(1, n + 1) if b[k]),
+                E * D**n,
+            )
+            for n in range(1, order + 1)
         )
-    return EgfCoeffs(tuple(out))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +211,8 @@ def egf_compose(f: EgfCoeffs, g: EgfCoeffs, order: int | None = None) -> EgfCoef
 
 def revert_msp(f: EgfCoeffs) -> EgfCoeffs:
     """Inverse coefficients from the Laurent first-kind family at k = 1."""
-    return EgfCoeffs(tuple(_lie_value(n, 1, f.f) for n in range(1, f.order + 1)))
+    D, a = _cleared(f, f.order)
+    return EgfCoeffs(tuple(_lie_value(n, 1, D, a) for n in range(1, f.order + 1)))
 
 
 def revert_comtet(f: EgfCoeffs, cache: msp.MspCache | None = None) -> EgfCoeffs:
@@ -277,8 +309,9 @@ def exp_transform(f: EgfCoeffs, order: int | None = None) -> list[TPoly]:
     row n is B_{n,k}(f_1, ..., f_{n-k+1})."""
     if order is None:
         order = f.order
+    D, T = _bell_triangle(f, order)
     return [
-        TPoly(tuple([Fraction(0)] + [_bell_value(n, k, f.f) for k in range(1, n + 1)]))
+        TPoly(tuple(Fraction(T[n][k], D**k) for k in range(n + 1)))
         for n in range(1, order + 1)
     ]
 
@@ -288,7 +321,8 @@ def exp_transform_inverse(f: EgfCoeffs, order: int | None = None) -> list[TPoly]
     from f through the Laurent first-kind values, without reverting."""
     if order is None:
         order = f.order
+    D, a = _cleared(f, order)
     return [
-        TPoly(tuple([Fraction(0)] + [_lie_value(n, k, f.f) for k in range(1, n + 1)]))
+        TPoly(tuple([Fraction(0)] + [_lie_value(n, k, D, a) for k in range(1, n + 1)]))
         for n in range(1, order + 1)
     ]

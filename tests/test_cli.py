@@ -219,3 +219,12 @@ def test_env_cap(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "msp", "gen", "--kind", "B", "--n", "6", "--k", "6")
     assert code == 0
     assert out.strip() == "X1^6"
+
+
+@pytest.mark.parametrize("raw", ["abc", "", "2.5", "-1"])
+def test_env_cap_rejects_bad_value(capsys, monkeypatch, raw):
+    monkeypatch.setenv("MSPKIT_MAX_N", raw)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ptypes", "list", "4", "2"])
+    assert exc.value.code == 2
+    assert "MSPKIT_MAX_N must be a nonnegative integer" in capsys.readouterr().err

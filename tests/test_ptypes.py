@@ -1,17 +1,23 @@
 """Tests for partition-type enumeration and the coefficient functions.
 
 The enumeration is checked against two independent oracles: a brute force
-over all integer compositions, and the classical two-term recurrence for
-the number of partitions of n into exactly k parts.
+over all k-multisets of part sizes, and the classical two-term recurrence
+for the number of partitions of n into exactly k parts.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
+import os
+import subprocess
+import sys
+import textwrap
+from itertools import combinations_with_replacement, permutations
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
+import mspkit
 from mspkit.ptypes import (
     PartitionType,
     cycle_fn,
@@ -28,17 +34,15 @@ from mspkit.ptypes import (
 
 
 def brute_force_types(n: int, k: int) -> set[tuple[int, ...]]:
-    """All multiplicity vectors with sum k and weighted sum n, by exhausting
-    every composition in {0..k}^n."""
-    if k == 0:
-        return {()} if n == 0 else set()
+    """All multiplicity vectors with sum k and weighted sum n, by counting the
+    part sizes of every k-multiset of {1..n} whose elements sum to n."""
     found = set()
-    for r in product(range(k + 1), repeat=n):
-        if sum(r) == k and sum((j + 1) * x for j, x in enumerate(r)) == n:
-            t = r
-            while t and t[-1] == 0:
-                t = t[:-1]
-            found.add(t)
+    for parts in combinations_with_replacement(range(1, n + 1), k):
+        if sum(parts) == n:
+            r = [0] * max(parts, default=0)
+            for p in parts:
+                r[p - 1] += 1
+            found.add(tuple(r))
     return found
 
 
@@ -205,10 +209,48 @@ def test_weight_sums_match_number_tables():
 
 
 def test_all_functions_integral():
-    # integer division inside the functions asserts exact divisibility;
+    # integer division inside the functions checks exact divisibility;
     # running them over a block of types exercises that
     for n in range(0, 16):
         for k in range(0, n + 1):
             for pt in partition_types(n, k):
                 for fn in (order_fn, cycle_fn, subset_fn):
                     assert isinstance(fn(pt), int)
+
+
+def test_weight_guards_raise_under_optimize():
+    # the integrality guards must survive python -O, where asserts vanish;
+    # a perturbed factorial makes each quotient non-integral
+    script = textwrap.dedent(
+        """
+        import math, sys
+        from mspkit import ptypes
+        from mspkit.ptypes import PartitionType
+
+        if not sys.flags.optimize:
+            sys.exit(3)
+        ptypes.factorial = lambda m: math.factorial(m) + 1
+        cases = [
+            (ptypes.cycle_fn, (1, 1)),
+            (ptypes.subset_fn, (0, 2)),
+            (ptypes.stirling_fn, (0, 2)),
+        ]
+        for fn, r in cases:
+            try:
+                fn(PartitionType(r))
+            except ValueError as exc:
+                print(exc)
+        """
+    )
+    src = str(Path(mspkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "cycle_fn not integral on 1,1",
+        "subset_fn not integral on 0,2",
+        "stirling_fn not integral on 0,2",
+    ]

@@ -2,7 +2,9 @@
 
 The composition oracle here works in ordinary normalization with plain
 truncated polynomial substitution, independent of the Bell-polynomial
-machinery inside the library.
+machinery inside the library.  Two more oracles evaluate the paper's type
+sums term by term in Fractions: B_{n,k} over P(n,k) with subset_fn weights,
+and S_{n,k} / f_1^(2n-1) over P(2n-1-k, n-1) with stirling_fn weights.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from math import factorial
 import pytest
 
 from mspkit import series
+from mspkit.ptypes import partition_types, stirling_fn, subset_fn
 from mspkit.series import EgfCoeffs, TPoly
 
 F = Fraction
@@ -48,6 +51,32 @@ def compose_oracle(f: EgfCoeffs, g: EgfCoeffs, order: int) -> tuple[Fraction, ..
             for i in range(order + 1):
                 total[i] += a[m] * power[i]
     return tuple(total[n] * factorial(n) for n in range(1, order + 1))
+
+
+def bell_value_oracle(n: int, k: int, f) -> Fraction:
+    """B_{n,k}(f_1, ..., f_{n-k+1}) by direct subset-function summation."""
+    if k == 0:
+        return F(1 if n == 0 else 0)
+    total = F(0)
+    for pt in partition_types(n, k):
+        v = F(subset_fn(pt))
+        for j, r in enumerate(pt.r):
+            if r:
+                v *= f(j + 1) ** r
+        total += v
+    return total
+
+
+def lie_value_oracle(n: int, k: int, f) -> Fraction:
+    """S_{n,k}(f_1, ...) / f_1^(2n-1) by direct signed summation."""
+    total = F(0)
+    for pt in partition_types(2 * n - 1 - k, n - 1):
+        v = F(stirling_fn(pt))
+        for j, r in enumerate(pt.r):
+            if r:
+                v *= f(j + 1) ** r
+        total += v
+    return total / f(1) ** (2 * n - 1)
 
 
 def random_egf(rng: random.Random, order: int) -> EgfCoeffs:
@@ -263,3 +292,88 @@ def test_exp_transform_scaling_homogeneity():
                 assert scaled_rows[n - 1].coefficient(k) == a**k * rows[
                     n - 1
                 ].coefficient(k)
+
+
+# ---------------------------------------------------------------------------
+# the numeric layer against the term-by-term type-sum oracles
+# ---------------------------------------------------------------------------
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+SHAPES = ("random", "interior-zeros", "negative-f1", "coprime-denominators", "integers")
+
+
+def shaped_egf(rng: random.Random, order: int, shape: str) -> EgfCoeffs:
+    """A random EGF of the given order whose coefficients have `shape`."""
+    coeffs = []
+    for n in range(1, order + 1):
+        num = rng.randint(-99, 99) or 1
+        if shape == "coprime-denominators":
+            # pairwise coprime, so the lcm of the denominators is their product
+            c = F(num if num % PRIMES[n - 1] else num + 1, PRIMES[n - 1])
+        elif shape == "integers":
+            c = F(num)
+        else:
+            c = F(num, rng.randint(1, 20))
+        coeffs.append(c)
+    if shape == "negative-f1":
+        coeffs[0] = -abs(coeffs[0])
+    if shape == "interior-zeros":
+        for n in range(2, order):
+            if n == order // 2 or rng.random() < 0.4:
+                coeffs[n - 1] = F(0)
+    return EgfCoeffs(tuple(coeffs))
+
+
+def test_shaped_egf_shapes():
+    rng = random.Random("shapes")
+    f = shaped_egf(rng, 16, "coprime-denominators")
+    assert [c.denominator for c in f] == list(PRIMES)
+    assert all(c.denominator == 1 for c in shaped_egf(rng, 16, "integers"))
+    assert shaped_egf(rng, 16, "negative-f1").f(1) < 0
+    assert shaped_egf(rng, 16, "interior-zeros").f(8) == 0
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_compose_matches_type_sum_oracle(shape):
+    rng = random.Random(f"compose-types-{shape}")
+    for order in range(1, 17):
+        f = shaped_egf(rng, rng.randint(1, order), shape)
+        g = shaped_egf(rng, rng.randint(1, order), shape)
+        want = tuple(
+            sum((bell_value_oracle(n, k, g.f) * f.f(k) for k in range(1, n + 1)), F(0))
+            for n in range(1, order + 1)
+        )
+        assert series.egf_compose(f, g, order).coeffs == want
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_exp_transform_matches_type_sum_oracle(shape):
+    rng = random.Random(f"exp-types-{shape}")
+    for order in range(1, 17):
+        f = shaped_egf(rng, rng.randint(1, order), shape)
+        rows = series.exp_transform(f, order)
+        assert len(rows) == order
+        for n, row in enumerate(rows, start=1):
+            want = [bell_value_oracle(n, k, f.f) for k in range(n + 1)]
+            assert row == TPoly(tuple(want))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_revert_msp_matches_type_sum_oracle(shape):
+    rng = random.Random(f"revert-types-{shape}")
+    for order in range(1, 17):
+        f = shaped_egf(rng, order, shape)
+        want = tuple(lie_value_oracle(n, 1, f.f) for n in range(1, order + 1))
+        assert series.revert_msp(f).coeffs == want
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_exp_transform_inverse_matches_type_sum_oracle(shape):
+    rng = random.Random(f"exp-inverse-types-{shape}")
+    for order in range(1, 17):
+        f = shaped_egf(rng, rng.randint(1, order), shape)
+        rows = series.exp_transform_inverse(f, order)
+        assert len(rows) == order
+        for n, row in enumerate(rows, start=1):
+            want = [F(0)] + [lie_value_oracle(n, k, f.f) for k in range(1, n + 1)]
+            assert row == TPoly(tuple(want))
