@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_msp = sub.add_parser("msp", help="polynomial generation")
     msp_sub = p_msp.add_subparsers(dest="subcommand", required=True)
     p_gen = msp_sub.add_parser("gen", help="generate a polynomial family member")
-    p_gen.add_argument("--kind", required=True, choices=["S", "B", "Bt", "L", "A"])
+    p_gen.add_argument("--kind", required=True, choices=msp.KINDS)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--k", type=int, default=None)
     p_gen.add_argument("--format", default="text", choices=["text", "json", "latex"])
@@ -121,10 +121,18 @@ def _cmd_msp_gen(parser, args) -> int:
             f"n={args.n} exceeds the default depth limit"
             f" ({DEFAULT_GEN_DEPTH}); pass --force to generate anyway"
         )
-    ks = [args.k] if args.k is not None else list(range(1, args.n + 1))
-    for k in ks:
-        if not 1 <= k <= args.n:
-            parser.error(f"k={k} outside 1..n={args.n}")
+    # Bn has no k: it prints like a single member, with the index n alone
+    if args.kind == "Bn":
+        if args.k is not None:
+            parser.error("--k does not apply to --kind Bn")
+        ks = [None]
+    elif args.k is not None:
+        if not 1 <= args.k <= args.n:
+            parser.error(f"k={args.k} outside 1..n={args.n}")
+        ks = [args.k]
+    else:
+        ks = list(range(1, args.n + 1))
+    single = args.k is not None or args.kind == "Bn"
     items = []
     for k in ks:
         try:
@@ -132,7 +140,7 @@ def _cmd_msp_gen(parser, args) -> int:
         except ValueError as exc:
             parser.error(str(exc))
     if args.format == "json":
-        if args.k is not None:
+        if single:
             print(json.dumps(items[0][1].to_json_dict(), separators=(",", ":")))
         else:
             payload = {
@@ -150,9 +158,10 @@ def _cmd_msp_gen(parser, args) -> int:
                 if not isinstance(value, LaurentX1)
                 else f"X_{{1}}^{{-{value.x1_den}}}({value.num.to_latex()})"
             )
-            print(f"${args.kind}_{{{args.n},{k}}}={body}$")
+            index = args.n if k is None else f"{args.n},{k}"
+            print(f"${args.kind}_{{{index}}}={body}$")
     else:
-        if args.k is not None:
+        if single:
             print(str(items[0][1]))
         else:
             for k, value in items:
@@ -227,8 +236,8 @@ def _cmd_series_compose(parser, args) -> int:
     if args.order < 1:
         parser.error("order must be >= 1")
     try:
-        f = series.EgfCoeffs(args.f).truncate(args.order)
-        g = series.EgfCoeffs(args.g).truncate(args.order)
+        f = series.Egf(args.f).truncate(args.order)
+        g = series.Egf(args.g).truncate(args.order)
     except ValueError as exc:
         parser.error(str(exc))
     result = series.egf_compose(f, g, args.order)
@@ -241,7 +250,7 @@ def _cmd_series_exp_transform(parser, args) -> int:
     if args.order < 1:
         parser.error("order must be >= 1")
     try:
-        f = series.EgfCoeffs(args.coeffs).truncate(args.order)
+        f = series.Egf(args.coeffs).truncate(args.order)
     except ValueError as exc:
         parser.error(str(exc))
     rows = series.exp_transform(f, args.order)

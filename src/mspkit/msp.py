@@ -1,21 +1,28 @@
 """Generators for the multivariate Stirling polynomial families.
 
-Six families are produced, each cached under a one-letter kind tag:
+Every explicit family is one weighted sum over partition types, built and
+cached by the single core `family(kind, n, k, cache)`:
 
-    S    first kind, explicit coefficient formula
-    B    second kind (partial exponential Bell polynomials), explicit
-    Bt   associated Bell polynomials (no singleton blocks, X1 absent)
-    L    Lah polynomials (order-function weights)
-    A    the Laurent family S_{n,k} / X1^(2n-1)
-    Bn   complete Bell polynomials, sum over k
+    S    first kind: stirling_fn over P(2n-1-k, n-1)
+    B    second kind (partial exponential Bell): subset_fn over P(n, k)
+    Bt   associated Bell: subset_fn over the types of P(n, k) with r1 = 0
+    L    Lah: order_fn over P(n, k)
+    A    the Laurent family S_{n,k} / X1^(2n-1), derived from S
 
-Both polynomial families also have an independent recursive generation
-path (differential recurrences); explicit and recursive results must
-agree, which the verify module checks structurally.
+`family` extends each kind by zero: 1 at (0,0) and 0 elsewhere outside
+1 <= k <= n (a LaurentX1 for A, an MPoly otherwise), uncached.  Members
+inside the triangle are memoised under (kind, n, k) in an append-only
+MspCache; a cache of None means the process-wide _DEFAULT_CACHE.
 
-Boundary conventions used throughout: B_{0,0} = 1, B_{n,0} = 0 for n > 0,
-everything vanishes above the diagonal, and the first-kind family has no
-(0,0) member.
+The public generators check their range (k >= 0 for B and Bt, where
+B_{0,0} = 1 and B_{n,0} = 0; k >= 1 otherwise) and call `family`.
+`generate` dispatches through the registry of public generators that KINDS
+lists; its sixth kind, Bn, is the complete Bell polynomial, summed from the
+cached B members and not cached itself.
+
+Both polynomial kinds also have an independent recursive path (differential
+recurrences), memoised under the cache kinds B_rec and S_rec; explicit and
+recursive results must agree, which the verify module checks structurally.
 """
 
 from __future__ import annotations
@@ -24,9 +31,7 @@ from itertools import combinations
 from math import comb
 
 from .poly import LaurentX1, MPoly
-from .ptypes import PartitionType, order_fn, partition_types, stirling_fn, subset_fn
-
-KINDS = ("S", "B", "Bt", "L", "A", "Bn")
+from .ptypes import order_fn, partition_types, stirling_fn, subset_fn
 
 CacheValue = MPoly | LaurentX1
 
@@ -59,9 +64,52 @@ def _check_triangle(n: int, k: int, k_min: int = 1):
         raise ValueError(f"indices out of range: need {k_min} <= k <= n, got ({n},{k})")
 
 
-def _type_sum(types: list[PartitionType], weight_fn) -> MPoly:
-    terms = {pt.r: weight_fn(pt) for pt in types}
-    return MPoly(terms)
+def family(kind: str, n: int, k: int, cache: MspCache | None = None) -> CacheValue:
+    """Member (n, k) of the explicit family `kind` (S, B, Bt, L or A),
+    extended by zero outside 1 <= k <= n with the (0,0) member equal to 1."""
+    if not 1 <= k <= n:
+        value = MPoly.const(1) if n == k == 0 else MPoly.zero()
+        return LaurentX1.from_poly(value) if kind == "A" else value
+    c = _DEFAULT_CACHE if cache is None else cache  # _cache, inlined on the hit path
+    hit = c.get(kind, n, k)
+    if hit is not None:
+        return hit
+    if kind == "A":
+        return c.put(kind, n, k, LaurentX1(family("S", n, k, c), 2 * n - 1))
+    if kind == "S":
+        types, weight = partition_types(2 * n - 1 - k, n - 1), stirling_fn
+    elif kind in ("B", "Bt", "L"):
+        types, weight = partition_types(n, k), order_fn if kind == "L" else subset_fn
+        if kind == "Bt":
+            types = [pt for pt in types if not (pt.r and pt.r[0])]
+    else:
+        raise ValueError(f"unknown family kind {kind!r} (expected S, B, Bt, L or A)")
+    return c.put(kind, n, k, MPoly({pt.r: weight(pt) for pt in types}))
+
+
+def _recursive(kind: str, n: int, k: int, cache: MspCache | None, seed: MPoly, step):
+    """Fill the memo triangle `kind` through row n and return member (n, k).
+
+    Member (1,1) is `seed`; member (m, kk) of a later row is
+    step(m, P_{m-1,kk}, P_{m-1,kk-1}, sum_j X_{j+1} * dP_{m-1,kk}/dX_j),
+    reading members outside the triangle as zero.
+    """
+    c = _cache(cache)
+    for m in range(1, n + 1):
+        for kk in range(1, m + 1):
+            if c.get(kind, m, kk) is not None:
+                continue
+            if m == 1:
+                c.put(kind, 1, 1, seed)
+                continue
+            prev = c.get(kind, m - 1, kk) or MPoly.zero()
+            # P_{m-1,kk-1} is zero for kk = 1 since m-1 >= 1 here
+            low = (c.get(kind, m - 1, kk - 1) if kk > 1 else None) or MPoly.zero()
+            deriv = MPoly.zero()
+            for j in range(1, prev.width() + 1):
+                deriv = deriv + MPoly.var(j + 1) * prev.partial_derivative(j)
+            c.put(kind, m, kk, step(m, prev, low, deriv))
+    return c.get(kind, n, k)  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
@@ -71,21 +119,8 @@ def _type_sum(types: list[PartitionType], weight_fn) -> MPoly:
 
 def bell_explicit(n: int, k: int, cache: MspCache | None = None) -> MPoly:
     """B_{n,k} as the subset-function sum over all (n,k)-partition types."""
-    if k == 0:
-        return MPoly.const(1) if n == 0 else MPoly.zero()
-    _check_triangle(n, k)
-    c = _cache(cache)
-    hit = c.get("B", n, k)
-    if hit is None:
-        hit = c.put("B", n, k, _type_sum(partition_types(n, k), subset_fn))
-    return hit
-
-
-def _bell_any(n: int, k: int, cache: MspCache) -> MPoly:
-    """B with zero continuation outside the triangle."""
-    if k < 0 or n < 0 or k > n:
-        return MPoly.zero()
-    return bell_explicit(n, k, cache)
+    _check_triangle(n, k, 0)
+    return family("B", n, k, cache)
 
 
 def bell_recursive(n: int, k: int, cache: MspCache | None = None) -> MPoly:
@@ -96,23 +131,8 @@ def bell_recursive(n: int, k: int, cache: MspCache | None = None) -> MPoly:
     if k == 0:
         return MPoly.const(1) if n == 0 else MPoly.zero()
     _check_triangle(n, k)
-    c = _cache(cache)
     x1 = MPoly.var(1)
-    for m in range(1, n + 1):
-        for kk in range(1, m + 1):
-            if c.get("B_rec", m, kk) is not None:
-                continue
-            if m == 1:
-                c.put("B_rec", 1, 1, x1)
-                continue
-            # B_{m-1,kk-1} is zero for kk = 1 since m-1 >= 1 here
-            prev_low = c.get("B_rec", m - 1, kk - 1) if kk > 1 else None
-            prev = c.get("B_rec", m - 1, kk) or MPoly.zero()
-            acc = x1 * prev_low if prev_low is not None else MPoly.zero()
-            for j in range(1, prev.width() + 1):
-                acc = acc + MPoly.var(j + 1) * prev.partial_derivative(j)
-            c.put("B_rec", m, kk, acc)
-    return c.get("B_rec", n, k)  # type: ignore[return-value]
+    return _recursive("B_rec", n, k, cache, x1, lambda m, prev, low, d: x1 * low + d)
 
 
 def complete_bell(n: int, cache: MspCache | None = None) -> MPoly:
@@ -120,43 +140,19 @@ def complete_bell(n: int, cache: MspCache | None = None) -> MPoly:
     if n < 1:
         raise ValueError("complete Bell polynomials start at n = 1")
     c = _cache(cache)
-    hit = c.get("Bn", n, 0)
-    if hit is None:
-        total = MPoly.zero()
-        for k in range(1, n + 1):
-            total = total + bell_explicit(n, k, c)
-        hit = c.put("Bn", n, 0, total)
-    return hit
+    return sum((family("B", n, k, c) for k in range(1, n + 1)), MPoly.zero())
 
 
 def assoc_bell(n: int, k: int, cache: MspCache | None = None) -> MPoly:
     """Associated Bell polynomial: B_{n,k} restricted to types with r1 = 0."""
-    if k < 0 or n < 0 or k > n:
-        raise ValueError(f"indices out of range: ({n},{k})")
-    if k == 0:
-        return MPoly.const(1) if n == 0 else MPoly.zero()
-    c = _cache(cache)
-    hit = c.get("Bt", n, k)
-    if hit is None:
-        types = [pt for pt in partition_types(n, k) if not (pt.r and pt.r[0])]
-        hit = c.put("Bt", n, k, _type_sum(types, subset_fn))
-    return hit
-
-
-def _assoc_any(n: int, k: int, cache: MspCache) -> MPoly:
-    if k < 0 or n < 0 or k > n:
-        return MPoly.zero()
-    return assoc_bell(n, k, cache)
+    _check_triangle(n, k, 0)
+    return family("Bt", n, k, cache)
 
 
 def lah_poly(n: int, k: int, cache: MspCache | None = None) -> MPoly:
     """Lah polynomial: order-function sum over all (n,k)-partition types."""
     _check_triangle(n, k)
-    c = _cache(cache)
-    hit = c.get("L", n, k)
-    if hit is None:
-        hit = c.put("L", n, k, _type_sum(partition_types(n, k), order_fn))
-    return hit
+    return family("L", n, k, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +163,7 @@ def lah_poly(n: int, k: int, cache: MspCache | None = None) -> MPoly:
 def stirling_first_explicit(n: int, k: int, cache: MspCache | None = None) -> MPoly:
     """S_{n,k} as the signed coefficient sum over P(2n-1-k, n-1)."""
     _check_triangle(n, k)
-    c = _cache(cache)
-    hit = c.get("S", n, k)
-    if hit is None:
-        types = partition_types(2 * n - 1 - k, n - 1)
-        hit = c.put("S", n, k, _type_sum(types, stirling_fn))
-    return hit
-
-
-def _sfirst_any(n: int, k: int, cache: MspCache) -> MPoly:
-    if k < 1 or n < k:
-        return MPoly.zero()
-    return stirling_first_explicit(n, k, cache)
+    return family("S", n, k, cache)
 
 
 def stirling_first_recursive(n: int, k: int, cache: MspCache | None = None) -> MPoly:
@@ -188,24 +173,12 @@ def stirling_first_recursive(n: int, k: int, cache: MspCache | None = None) -> M
     seeded by S_{1,1} = 1.
     """
     _check_triangle(n, k)
-    c = _cache(cache)
     x1, x2 = MPoly.var(1), MPoly.var(2)
-    for m in range(1, n + 1):
-        for kk in range(1, m + 1):
-            if c.get("S_rec", m, kk) is not None:
-                continue
-            if m == 1:
-                c.put("S_rec", 1, 1, MPoly.const(1))
-                continue
-            prev = c.get("S_rec", m - 1, kk) or MPoly.zero()
-            # S_{m-1,kk-1} is zero for kk = 1 since m-1 >= 1 here
-            prev_low = (c.get("S_rec", m - 1, kk - 1) if kk > 1 else None) or MPoly.zero()
-            deriv = MPoly.zero()
-            for j in range(1, prev.width() + 1):
-                deriv = deriv + MPoly.var(j + 1) * prev.partial_derivative(j)
-            acc = x2 * prev * (-(2 * (m - 1) - 1)) + x1 * (prev_low + deriv)
-            c.put("S_rec", m, kk, acc)
-    return c.get("S_rec", n, k)  # type: ignore[return-value]
+
+    def step(m, prev, low, deriv):
+        return x2 * prev * (-(2 * (m - 1) - 1)) + x1 * (low + deriv)
+
+    return _recursive("S_rec", n, k, cache, MPoly.const(1), step)
 
 
 def stirling_first_from_assoc(n: int, k: int, cache: MspCache | None = None) -> MPoly:
@@ -220,7 +193,7 @@ def stirling_first_from_assoc(n: int, k: int, cache: MspCache | None = None) -> 
         coeff = comb(2 * n - 2 - r, k - 1)
         if coeff == 0:
             continue
-        part = _assoc_any(2 * n - 1 - k - r, n - 1 - r, c)
+        part = family("Bt", 2 * n - 1 - k - r, n - 1 - r, c)
         if part.is_zero:
             continue
         sign = 1 if (n - 1 - r) % 2 == 0 else -1
@@ -230,22 +203,8 @@ def stirling_first_from_assoc(n: int, k: int, cache: MspCache | None = None) -> 
 
 def lie_first(n: int, k: int, cache: MspCache | None = None) -> LaurentX1:
     """The Laurent object S_{n,k} / X1^(2n-1)."""
-    if n == 0 and k == 0:
-        raise ValueError("the (0,0) member is not a polynomial object")
     _check_triangle(n, k)
-    c = _cache(cache)
-    hit = c.get("A", n, k)
-    if hit is None:
-        hit = c.put("A", n, k, LaurentX1(stirling_first_explicit(n, k, c), 2 * n - 1))
-    return hit
-
-
-def _lie_any(n: int, k: int, cache: MspCache) -> LaurentX1:
-    if n == 0 and k == 0:
-        return LaurentX1.one()
-    if k < 1 or n < k:
-        return LaurentX1.zero()
-    return lie_first(n, k, cache)
+    return family("A", n, k, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +226,7 @@ def first_from_second_schloemilch(
         coeff = comb(2 * n - 2 - r, k - 1) * comb(2 * n - k, r + 1 - k)
         if coeff == 0:
             continue
-        part = _bell_any(2 * n - 1 - k - r, n - 1 - r, c)
+        part = family("B", 2 * n - 1 - k - r, n - 1 - r, c)
         if part.is_zero:
             continue
         sign = 1 if (n - 1 - r) % 2 == 0 else -1
@@ -285,7 +244,7 @@ def second_from_first(n: int, k: int, cache: MspCache | None = None) -> MPoly:
         coeff = comb(2 * n - 2 - r, k - 1) * comb(2 * n - k, r + 1 - k)
         if coeff == 0:
             continue
-        part = _lie_any(2 * n - 1 - k - r, n - 1 - r, c)
+        part = family("A", 2 * n - 1 - k - r, n - 1 - r, c)
         if part.is_zero:
             continue
         sign = 1 if (n - 1 - r) % 2 == 0 else -1
@@ -331,10 +290,10 @@ def convolution_recurrence(
     """
     _check_triangle(n, k)
     c = _cache(cache)
-    if kind == "B":
+    if kind in ("B", "Bt"):
         total = MPoly.zero()
-        for j in range(1, n - k + 2):
-            part = _bell_any(n - j, k - 1, c)
+        for j in range(1 if kind == "B" else 2, n - k + 2):
+            part = family(kind, n - j, k - 1, c)
             if not part.is_zero:
                 total = total + MPoly.var(j) * part * comb(n - 1, j - 1)
         return total
@@ -343,18 +302,11 @@ def convolution_recurrence(
             raise ValueError("the first-kind convolution needs column 1 as input")
         total = MPoly.zero()
         for j in range(1, n - k + 2):
-            left = _sfirst_any(j, 1, c)
-            right = _sfirst_any(n - j, k - 1, c)
+            left = family("S", j, 1, c)
+            right = family("S", n - j, k - 1, c)
             if not left.is_zero and not right.is_zero:
                 total = total + left * right * comb(n - 1, j - 1)
         return MPoly.var(1) * total
-    if kind == "Bt":
-        total = MPoly.zero()
-        for j in range(2, n - k + 2):
-            part = _assoc_any(n - j, k - 1, c)
-            if not part.is_zero:
-                total = total + MPoly.var(j) * part * comb(n - 1, j - 1)
-        return total
     raise ValueError(f"unknown convolution kind {kind!r} (expected B, S or Bt)")
 
 
@@ -365,7 +317,7 @@ def cor45_expand(n: int, k: int, cache: MspCache | None = None) -> MPoly:
     c = _cache(cache)
     total = MPoly.zero()
     for r in range(k + 1):
-        part = _assoc_any(n - r, k - r, c)
+        part = family("Bt", n - r, k - r, c)
         if not part.is_zero:
             total = total + part.shift_x1(r) * comb(n, r)
     return total
@@ -378,7 +330,7 @@ def eq68_invert(n: int, k: int, cache: MspCache | None = None) -> MPoly:
     c = _cache(cache)
     total = MPoly.zero()
     for j in range(k + 1):
-        part = _bell_any(n - j, k - j, c)
+        part = family("B", n - j, k - j, c)
         if not part.is_zero:
             sign = 1 if j % 2 == 0 else -1
             total = total + part.shift_x1(j) * (sign * comb(n, j))
@@ -417,18 +369,20 @@ def snk1_nested(n: int, cache: MspCache | None = None) -> MPoly:
 # ---------------------------------------------------------------------------
 
 
+_GENERATORS = {
+    "S": stirling_first_explicit,
+    "B": bell_explicit,
+    "Bt": assoc_bell,
+    "L": lah_poly,
+    "A": lie_first,
+    "Bn": lambda n, k, cache=None: complete_bell(n, cache),
+}
+
+KINDS = tuple(_GENERATORS)
+
+
 def generate(kind: str, n: int, k: int, cache: MspCache | None = None) -> CacheValue:
     """Dispatch on the kind tag; `Bn` ignores k."""
-    if kind == "S":
-        return stirling_first_explicit(n, k, cache)
-    if kind == "B":
-        return bell_explicit(n, k, cache)
-    if kind == "Bt":
-        return assoc_bell(n, k, cache)
-    if kind == "L":
-        return lah_poly(n, k, cache)
-    if kind == "A":
-        return lie_first(n, k, cache)
-    if kind == "Bn":
-        return complete_bell(n, cache)
-    raise ValueError(f"unknown kind {kind!r} (expected one of {', '.join(KINDS)})")
+    if kind not in _GENERATORS:
+        raise ValueError(f"unknown kind {kind!r} (expected one of {', '.join(KINDS)})")
+    return _GENERATORS[kind](n, k, cache)

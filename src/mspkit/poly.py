@@ -23,9 +23,6 @@ from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
-#: Exact rational scalar used for evaluation and series coefficients.
-BigRational = Fraction
-
 
 def _trim(exps: Iterable[int]) -> Exponents:
     """Drop trailing zeros from an exponent vector."""

@@ -1,8 +1,10 @@
 """Truncated exponential generating functions and exact Lagrange inversion.
 
-A series f = sum f_n x^n / n! with f_0 = 0 and f_1 != 0 is carried by its
-coefficient list f_1..f_N of exact rationals.  Reversion (the compositional
-inverse) is computed by three structurally independent paths:
+A series f = sum f_n x^n / n! with f_0 = 0 is carried by its coefficient
+list f_1..f_N of exact rationals (Egf); composition and exp(t*f) take any
+such series.  Reversion (the compositional inverse) needs f_1 != 0, which
+the subtype EgfCoeffs enforces and every inversion path checks; it is
+computed by three structurally independent paths:
 
     revert_msp     signed coefficient sums over partition types P(2n-2, n-1)
     revert_comtet  alternating sums of associated Bell polynomials evaluated
@@ -35,9 +37,12 @@ from . import msp
 from .ptypes import partition_types, stirling_fn
 
 
-@dataclass(frozen=True)
-class EgfCoeffs:
-    """Coefficients f_1..f_N of an EGF with f_0 = 0 and f_1 != 0."""
+@dataclass(frozen=True, eq=False)
+class Egf:
+    """Coefficients f_1..f_N of a truncated EGF with f_0 = 0.
+
+    Series compare equal when their coefficient lists do, whatever their
+    subtype."""
 
     coeffs: tuple[Fraction, ...]
 
@@ -45,8 +50,12 @@ class EgfCoeffs:
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
         if not self.coeffs:
             raise ValueError("at least one coefficient is required")
-        if self.coeffs[0] == 0:
-            raise ValueError("f_1 must be nonzero")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Egf) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     @property
     def order(self) -> int:
@@ -58,14 +67,30 @@ class EgfCoeffs:
             return Fraction(0)
         return self.coeffs[n - 1]
 
-    def truncate(self, order: int) -> EgfCoeffs:
+    def truncate(self, order: int) -> Egf:
         if order < 1:
             raise ValueError("order must be >= 1")
         padded = self.coeffs[:order] + (Fraction(0),) * (order - len(self.coeffs))
-        return EgfCoeffs(padded)
+        return type(self)(padded)
 
     def __iter__(self):
         return iter(self.coeffs)
+
+
+def _nonzero_f1(f: Egf) -> Fraction:
+    """f_1, which every inverse of f divides by."""
+    if f.f(1) == 0:
+        raise ValueError("f_1 must be nonzero")
+    return f.f(1)
+
+
+@dataclass(frozen=True, eq=False)
+class EgfCoeffs(Egf):
+    """An invertible truncated EGF: f_0 = 0 and f_1 != 0."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        _nonzero_f1(self)
 
 
 def identity_egf(order: int = 1) -> EgfCoeffs:
@@ -120,7 +145,7 @@ class TPoly:
 # ---------------------------------------------------------------------------
 
 
-def _cleared(f: EgfCoeffs, order: int) -> tuple[int, list[int]]:
+def _cleared(f: Egf, order: int) -> tuple[int, list[int]]:
     """(D, a) with D the lcm of the denominators of f_1..f_order and the
     integers a_j = D*f_j at a[j] (a[0] = 0)."""
     cs = [f.f(j) for j in range(1, order + 1)]
@@ -128,7 +153,7 @@ def _cleared(f: EgfCoeffs, order: int) -> tuple[int, list[int]]:
     return D, [0] + [c.numerator * (D // c.denominator) for c in cs]
 
 
-def _bell_triangle(g: EgfCoeffs, order: int) -> tuple[int, list[list[int]]]:
+def _bell_triangle(g: Egf, order: int) -> tuple[int, list[list[int]]]:
     """(D, T) with B_{n,k}(g_1, ..., g_{n-k+1}) = T[n][k] / D^k, 0 <= k <= n <= order.
 
     Prop 5.5, B_{n,k} = sum_j C(n-1,j-1) g_j B_{n-j,k-1}, run on the cleared
@@ -186,14 +211,14 @@ def egf_product(f, g, order: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def egf_compose(f: EgfCoeffs, g: EgfCoeffs, order: int | None = None) -> EgfCoeffs:
+def egf_compose(f: Egf, g: Egf, order: int | None = None) -> Egf:
     """Composition f(g(x)) to the given order via h_n = sum_k B_{n,k}(g) f_k."""
     if order is None:
         order = min(f.order, g.order)
     D, T = _bell_triangle(g, order)
     E, b = _cleared(f, order)
     # h_n = sum_k (T[n][k] / D^k) (b_k / E), over the common denominator E*D^n
-    return EgfCoeffs(
+    return Egf(
         tuple(
             Fraction(
                 sum(T[n][k] * b[k] * D ** (n - k) for k in range(1, n + 1) if b[k]),
@@ -209,20 +234,21 @@ def egf_compose(f: EgfCoeffs, g: EgfCoeffs, order: int | None = None) -> EgfCoef
 # ---------------------------------------------------------------------------
 
 
-def revert_msp(f: EgfCoeffs) -> EgfCoeffs:
+def revert_msp(f: Egf) -> EgfCoeffs:
     """Inverse coefficients from the Laurent first-kind family at k = 1."""
+    _nonzero_f1(f)
     D, a = _cleared(f, f.order)
     return EgfCoeffs(tuple(_lie_value(n, 1, D, a) for n in range(1, f.order + 1)))
 
 
-def revert_comtet(f: EgfCoeffs, cache: msp.MspCache | None = None) -> EgfCoeffs:
+def revert_comtet(f: Egf, cache: msp.MspCache | None = None) -> EgfCoeffs:
     """Inverse coefficients by the alternating associated-Bell expansion
 
     fbar_n = sum_{k=1}^{n-1} (-1)^k f_1^(-n-k) Bt_{n+k-1,k}(0, f_2, ..., f_n),
     with fbar_1 = 1/f_1.  The polynomials are generated symbolically and
     evaluated exactly.
     """
-    f1 = f.f(1)
+    f1 = _nonzero_f1(f)
     out = [1 / f1]
     for n in range(2, f.order + 1):
         point = [Fraction(0)] + [f.f(j) for j in range(2, n + 1)]
@@ -238,12 +264,13 @@ def revert_comtet(f: EgfCoeffs, cache: msp.MspCache | None = None) -> EgfCoeffs:
     return EgfCoeffs(tuple(out))
 
 
-def revert_oracle(f: EgfCoeffs) -> EgfCoeffs:
+def revert_oracle(f: Egf) -> EgfCoeffs:
     """Inverse coefficients by solving f(g(x)) = x degree by degree.
 
     Works in ordinary normalization a_n = f_n/n!; the x^n coefficient of
     sum_m a_m g(x)^m is linear in the unknown b_n with coefficient a_1.
     """
+    _nonzero_f1(f)
     N = f.order
     a = [Fraction(0)] + [f.f(n) / factorial(n) for n in range(1, N + 1)]
     b = [Fraction(0), 1 / a[1]]
@@ -304,7 +331,7 @@ def total_partitions_egf(order: int) -> EgfCoeffs:
     return EgfCoeffs((Fraction(1),) + (Fraction(-1),) * (order - 1))
 
 
-def exp_transform(f: EgfCoeffs, order: int | None = None) -> list[TPoly]:
+def exp_transform(f: Egf, order: int | None = None) -> list[TPoly]:
     """Rows n = 1..order of the expansion of exp(t*f); the t^k coefficient of
     row n is B_{n,k}(f_1, ..., f_{n-k+1})."""
     if order is None:
@@ -316,9 +343,10 @@ def exp_transform(f: EgfCoeffs, order: int | None = None) -> list[TPoly]:
     ]
 
 
-def exp_transform_inverse(f: EgfCoeffs, order: int | None = None) -> list[TPoly]:
+def exp_transform_inverse(f: Egf, order: int | None = None) -> list[TPoly]:
     """Rows n = 1..order of the expansion of exp(t*fbar) computed directly
     from f through the Laurent first-kind values, without reverting."""
+    _nonzero_f1(f)
     if order is None:
         order = f.order
     D, a = _cleared(f, order)

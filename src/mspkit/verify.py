@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import Callable, NamedTuple
 
 from . import msp, series, stirling
 from .poly import LaurentX1, MPoly, parse_poly
@@ -85,20 +86,29 @@ class CheckResult:
     wall_ms: float
 
 
-# each check: fn(depth, rng, cache) -> counterexample string or None
-_REGISTRY: list[tuple[str, int, str, object]] = []
+class _Check(NamedTuple):
+    """A registered check: fn(depth, rng, cache) returns a counterexample
+    string, or None when it passes; `params` is formatted with d = depth."""
+
+    check_id: str
+    cap: int
+    params: str
+    fn: Callable[[int, random.Random, msp.MspCache], str | None]
+
+
+_REGISTRY: list[_Check] = []
 
 
 def _check(check_id: str, cap: int, params: str):
     def wrap(fn):
-        _REGISTRY.append((check_id, cap, params, fn))
+        _REGISTRY.append(_Check(check_id, cap, params, fn))
         return fn
 
     return wrap
 
 
 def check_ids() -> list[str]:
-    return [cid for cid, _, _, _ in _REGISTRY]
+    return [check.check_id for check in _REGISTRY]
 
 
 def _delta(n: int, k: int) -> LaurentX1:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -228,3 +232,66 @@ def test_env_cap_rejects_bad_value(capsys, monkeypatch, raw):
         cli.main(["ptypes", "list", "4", "2"])
     assert exc.value.code == 2
     assert "MSPKIT_MAX_N must be a nonnegative integer" in capsys.readouterr().err
+
+
+def test_gen_accepts_every_registered_kind(capsys):
+    for kind in msp.KINDS:
+        assert cli.main(["msp", "gen", "--kind", kind, "--n", "2"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+def test_gen_complete_bell(capsys, fmt):
+    code, out, _ = run_cli(capsys, "msp", "gen", "--kind", "Bn", "--n", "3", "--format", fmt)
+    assert code == 0
+    want = msp.complete_bell(3)
+    if fmt == "text":
+        assert out == "X3 + 3*X1*X2 + X1^3\n"
+    elif fmt == "json":
+        assert MPoly.from_json_dict(json.loads(out)) == want
+    else:
+        assert out == f"$Bn_{{3}}={want.to_latex()}$\n"
+
+
+def test_gen_complete_bell_rejects_k(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["msp", "gen", "--kind", "Bn", "--n", "3", "--k", "1"])
+    assert exc.value.code == 2
+    assert "--k does not apply to --kind Bn" in capsys.readouterr().err
+
+
+def test_series_revert_zero_f1_message(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["series", "revert", "--coeffs", "0,1", "--order", "2"])
+    assert exc.value.code == 2
+    assert "f_1 must be nonzero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "f, g, order, want",
+    [
+        ("1,1", "0,1", "2", '{"composition": ["0", "1"]}'),
+        ("1,1,1", "0,1,1", "4", '{"composition": ["0", "1", "1", "3"]}'),
+    ],
+)
+def test_series_compose_zero_g1(capsys, f, g, order, want):
+    code, out, _ = run_cli(
+        capsys, "series", "compose", "--f", f, "--g", g, "--order", order
+    )
+    assert code == 0
+    assert out.strip() == want
+
+
+def test_verify_report_same_under_optimize():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = ["-m", "mspkit.cli", "verify", "run", "--max-n", "8", "--format", "json"]
+    runs = [
+        subprocess.run([sys.executable, *flags, *argv], capture_output=True, text=True, env=env)
+        for flags in ([], ["-O"])
+    ]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["max_n"] == 8

@@ -207,6 +207,34 @@ def test_generate_dispatch():
         msp.generate("Q", 3, 1)
 
 
+def test_registry_kinds():
+    assert msp.KINDS == ("S", "B", "Bt", "L", "A", "Bn")
+    for kind in msp.KINDS[:-1]:
+        assert msp.generate(kind, 4, 2) == msp.family(kind, 4, 2)
+
+
+def test_family_zero_extension_is_uncached():
+    cache = msp.MspCache()
+    for kind in ("S", "B", "Bt", "L"):
+        assert msp.family(kind, 0, 0, cache) == MPoly.const(1)
+        for n, k in [(3, 0), (2, 3), (-1, -1), (0, 1)]:
+            assert msp.family(kind, n, k, cache) == MPoly.zero()
+    assert msp.family("A", 0, 0, cache) == LaurentX1.one()
+    assert msp.family("A", 2, 3, cache) == LaurentX1.zero()
+    assert len(cache) == 0
+    with pytest.raises(ValueError):
+        msp.family("Q", 2, 1, cache)
+
+
+def test_complete_bell_sums_cached_members():
+    cache = msp.MspCache()
+    assert msp.complete_bell(5, cache).eval_rat([1] * 5) == 52
+    # only the B members are cached, the sum itself is not
+    assert len(cache) == 5
+    assert msp.generate("Bn", 5, None, cache) == msp.complete_bell(5)
+    assert len(cache) == 5
+
+
 def test_cache_is_append_only_and_injectable():
     cache = msp.MspCache()
     p = msp.bell_explicit(4, 2, cache)

@@ -377,3 +377,34 @@ def test_exp_transform_inverse_matches_type_sum_oracle(shape):
         for n, row in enumerate(rows, start=1):
             want = [F(0)] + [lie_value_oracle(n, k, f.f) for k in range(1, n + 1)]
             assert row == TPoly(tuple(want))
+
+
+# ---------------------------------------------------------------------------
+# series with f_1 = 0
+# ---------------------------------------------------------------------------
+
+
+def test_plain_egf_allows_zero_f1():
+    g = series.Egf((F(0), F(1)))
+    assert g.truncate(3) == series.Egf((F(0), F(1), F(0)))
+    # equality and hashing follow the coefficients, not the subtype
+    assert series.Egf((F(1), F(2))) == egf(1, 2)
+    assert hash(series.Egf((F(1), F(2)))) == hash(egf(1, 2))
+    assert isinstance(egf(1, 2).truncate(3), EgfCoeffs)
+
+
+def test_compose_zero_g1_matches_oracle():
+    rng = random.Random("compose-zero-g1")
+    for order in range(1, 13):
+        f = random_egf(rng, order)
+        g = series.Egf((F(0),) + random_egf(rng, order).coeffs[1:])
+        assert series.egf_compose(f, g, order).coeffs == compose_oracle(f, g, order)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [series.revert_msp, series.revert_comtet, series.revert_oracle, series.exp_transform_inverse],
+)
+def test_inversion_paths_reject_zero_f1(path):
+    with pytest.raises(ValueError, match="f_1 must be nonzero"):
+        path(series.Egf((F(0), F(1), F(2))))

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -197,3 +202,39 @@ def test_example58():
     c = stirling.cycle_table(4)
     total = sum(factorial(3) // factorial(j) * c.value(j, 1) for j in range(1, 4))
     assert total == c.value(4, 2) == 11
+
+
+def test_closed_form_guards_raise_under_optimize():
+    # the integrality guards must survive python -O, where asserts vanish;
+    # a perturbed factorial or comb makes each result non-integral
+    script = textwrap.dedent(
+        """
+        import math, sys
+        from mspkit import stirling
+
+        if not sys.flags.optimize:
+            sys.exit(3)
+        stirling.factorial = lambda m: math.factorial(m) + 1
+        try:
+            stirling.s2_bertrand(4, 2)
+        except ValueError as exc:
+            print(exc)
+        stirling.factorial = math.factorial
+        stirling.comb = lambda a, b: math.comb(a, b) + 1
+        try:
+            stirling.s2_via_cycle(3, 1)
+        except ValueError as exc:
+            print(exc)
+        """
+    )
+    src = str(Path(stirling.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "Bertrand sum not divisible by 2! at (4,2)",
+        "cycle-sum not integral at (3,1)",
+    ]

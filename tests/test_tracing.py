@@ -1,0 +1,53 @@
+"""The benchmark's span tracer (perfbench/tracing.py) against the library.
+
+The tracer wraps mspkit's public functions from outside the package; these
+tests load it by path, so a renamed or inlined function, or a weight
+function captured where the tracer cannot patch it, fails here first.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+from types import SimpleNamespace
+
+from mspkit import cli, msp, poly, ptypes, series, stirling, verify
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_sees_every_msp_layer(capsys, monkeypatch):
+    mods = SimpleNamespace(
+        cli=cli, msp=msp, poly=poly, ptypes=ptypes, series=series, stirling=stirling, verify=verify
+    )
+    monkeypatch.setattr(msp, "_DEFAULT_CACHE", msp.MspCache())
+    originals = (msp.bell_explicit, msp.subset_fn, msp.partition_types, msp._GENERATORS["B"])
+    tracer = load_tracing().Tracer(mods)
+    tracer.install()
+    tracer.enabled = True
+    spans = tracer.spans
+    try:
+        for kind in ("S", "B", "Bt", "L", "A"):
+            # a cold default cache, as in a fresh `msp gen` process
+            msp._DEFAULT_CACHE = msp.MspCache()
+            before = spans["ptypes.partition_types"][0], spans["ptypes.weight"][0]
+            assert cli.main(["msp", "gen", "--kind", kind, "--n", "6"]) == 0
+            after = spans["ptypes.partition_types"][0], spans["ptypes.weight"][0]
+            assert after[0] > before[0] and after[1] > before[1], kind
+        msp.cor45_expand(6, 3, msp.MspCache())
+        msp.bell_recursive(6, 3, msp.MspCache())
+    finally:
+        tracer.uninstall()
+    assert "trace:" not in capsys.readouterr().err
+    for key in ("msp.explicit", "msp.transform", "msp.recursive",
+                "ptypes.partition_types", "ptypes.weight"):
+        assert spans[key][0] > 0, key
+    assert tracer.counts["cache_misses"] > 0
+    assert (msp.bell_explicit, msp.subset_fn, msp.partition_types, msp._GENERATORS["B"]) == originals
