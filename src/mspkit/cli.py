@@ -20,8 +20,11 @@ from .poly import LaurentX1
 from .ptypes import partition_types
 
 
-# polynomial generation beyond this needs --force; type counts make n around
-# 20 the practical symbolic ceiling
+# polynomial generation beyond this needs --force.  Building a whole explicit
+# first-kind row S_{n,1..n} (no output) took 1.3 ms at n = 12, 17 ms at 20,
+# 51 ms at 24 and 0.21 s at 30 (benchmark probe.S_row_ms, Python 3.11, 2 vCPUs);
+# the row has 195 terms at n = 12 and 23025 at n = 30.  So the limit keeps the
+# default output short; it is not a time ceiling.
 DEFAULT_GEN_DEPTH = 12
 
 

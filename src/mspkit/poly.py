@@ -18,6 +18,7 @@ denominator; that is the only Laurent behaviour the library needs.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -45,10 +46,16 @@ class MPoly:
         store: dict[Exponents, int] = {}
         if terms:
             for exps, coeff in terms.items():
+                if type(coeff) is not int:
+                    raise ValueError(f"coefficient {coeff!r} is not an int")
                 if coeff == 0:
                     continue
-                key = _trim(exps)
-                if any(e < 0 for e in key):
+                # a tuple that ends in a nonzero entry (or is empty) is trimmed
+                if type(exps) is tuple and (not exps or exps[-1]):
+                    key = exps
+                else:
+                    key = _trim(exps)
+                if key and min(key) < 0:
                     raise ValueError(f"negative exponent in {key}")
                 c = store.get(key, 0) + coeff
                 if c:
@@ -106,13 +113,19 @@ class MPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = MPoly.const(other)
+            return self._terms == ({(): other} if other else {})
         if not isinstance(other, MPoly):
             return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        # a constant equals its int, so it must hash as that int
+        terms = self._terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and () in terms:
+            return hash(terms[()])
+        return hash(frozenset(terms.items()))
 
     # -- ring operations ---------------------------------------------------
 
@@ -355,43 +368,40 @@ def format_poly(p: MPoly, latex: bool = False) -> str:
     return " ".join(chunks)
 
 
+_FACTOR = r"X[1-9][0-9]*(?:\^[0-9]+)?"
+_TERM = rf"(?:(?:[0-9]+\*)?{_FACTOR}(?:\*{_FACTOR})*|[0-9]+)"
+_POLY_RE = re.compile(rf"-?{_TERM}(?: [+-] {_TERM})*")
+_TERM_RE = re.compile(rf"(^-?| [+-] )({_TERM})")
+
+
 def parse_poly(text: str) -> MPoly:
-    """Parse the text format produced by `format_poly`."""
+    """Parse the text format produced by `format_poly`.
+
+    The grammar is strict: terms are `c`, `X<j>^<e>` products or `c*` such a
+    product (j >= 1, `^<e>` optional), joined by " + " or " - ", with an
+    optional leading "-"; surrounding whitespace is ignored.  Anything else,
+    including the empty string, raises ValueError.
+    """
     s = text.strip()
-    if s == "0":
-        return MPoly.zero()
-    # normalize to '+'/'-' separated tokens
-    s = s.replace("- ", "-").replace("+ ", "+")
-    tokens: list[str] = []
-    for chunk in s.split():
-        tokens.append(chunk)
-    total = MPoly.zero()
-    for tok in tokens:
-        sign = 1
-        if tok.startswith("-"):
-            sign = -1
-            tok = tok[1:]
-        elif tok.startswith("+"):
-            tok = tok[1:]
-        if not tok:
-            raise ValueError(f"cannot parse term in {text!r}")
-        coeff = sign
+    if not _POLY_RE.fullmatch(s):
+        raise ValueError(f"cannot parse polynomial {text!r}")
+    terms: dict[Exponents, int] = {}
+    for sep, tok in _TERM_RE.findall(s):
+        coeff = -1 if "-" in sep else 1
         exps: dict[int, int] = {}
         for factor in tok.split("*"):
-            if factor.startswith("X"):
+            if factor[0] == "X":
                 base, _, power = factor.partition("^")
-                j = int(base[1:])
-                exps[j - 1] = exps.get(j - 1, 0) + (int(power) if power else 1)
+                i = int(base[1:]) - 1
+                exps[i] = exps.get(i, 0) + (int(power) if power else 1)
             else:
                 coeff *= int(factor)
-        if exps:
-            vec = [0] * (max(exps) + 1)
-            for i, e in exps.items():
-                vec[i] = e
-            total = total + MPoly.monomial(coeff, vec)
-        else:
-            total = total + MPoly.const(coeff)
-    return total
+        vec = [0] * (max(exps) + 1 if exps else 0)
+        for i, e in exps.items():
+            vec[i] = e
+        key = tuple(vec)
+        terms[key] = terms.get(key, 0) + coeff
+    return MPoly(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -455,15 +465,16 @@ class LaurentX1:
         return self._num
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, MPoly):
-            other = LaurentX1.from_poly(other)
-        elif isinstance(other, int):
-            other = LaurentX1.from_poly(MPoly.const(other))
+        if isinstance(other, (MPoly, int)):
+            return self._den == 0 and self._num == other
         if not isinstance(other, LaurentX1):
             return NotImplemented
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
+        # with no denominator the value equals its numerator (and any int it equals)
+        if self._den == 0:
+            return hash(self._num)
         return hash((self._num, self._den))
 
     def __add__(self, other: LaurentX1) -> LaurentX1:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, prod
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -33,16 +34,17 @@ class PartitionType:
 
     def __post_init__(self):
         t = self.r
-        if any(x < 0 for x in t):
+        if t and min(t) < 0:
             raise ValueError(f"negative multiplicity in {t}")
-        while t and t[-1] == 0:
-            t = t[:-1]
-        object.__setattr__(self, "r", t)
+        if t and t[-1] == 0:
+            while t and t[-1] == 0:
+                t = t[:-1]
+            object.__setattr__(self, "r", t)
 
     @property
     def weight(self) -> int:
         """n = sum j*r_j."""
-        return sum((j + 1) * x for j, x in enumerate(self.r))
+        return sum(map(mul, self.r, range(1, len(self.r) + 1)))
 
     @property
     def length(self) -> int:
@@ -57,6 +59,9 @@ def partition_types(n: int, k: int) -> list[PartitionType]:
     """All (n,k)-partition types in ascending lexicographic order.
 
     P(n,0) is empty for n > 0 and P(0,0) contains only the empty vector.
+    The multiplicities r_1, r_2, ... are chosen in that order, each in
+    ascending order, so the types come out sorted (Knuth, TAOCP 4A,
+    7.2.1.4); every vector is built trimmed and nonnegative.
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
@@ -64,38 +69,42 @@ def partition_types(n: int, k: int) -> list[PartitionType]:
         return [PartitionType(())] if n == 0 else []
     if n < k:
         return []
-    L = n - k + 1  # largest possible part size
-    found: list[tuple[int, ...]] = []
+    found: list[PartitionType] = []
+    emit = found.append
+    buf = [0] * (n - k + 1)  # buf[j-1] holds r_j on the current path
+    zeros = (0,) * (n - k + 1)
 
-    def descend(j: int, rest_n: int, rest_k: int, acc: list[int]):
-        # choose r_j for part sizes j, j-1, ..., 1
-        if j == 1:
-            # r_1 is forced: rest_k parts of size 1
-            if rest_n == rest_k:
-                found.append(tuple([rest_k] + acc))
+    def descend(j: int, rest_n: int, rest_k: int):
+        # rest_k >= 2 parts of sizes >= j remain, so rest_n >= j * rest_k
+        if rest_n == j * rest_k:
+            # every remaining part has size j
+            buf[j - 1] = rest_k
+            emit(PartitionType(tuple(buf[:j])))
             return
-        for rj in range(min(rest_n // j, rest_k) + 1):
-            rem_n = rest_n - j * rj
-            rem_k = rest_k - rj
-            # remaining parts have size < j, so rem_n <= (j-1)*rem_k must hold
-            if rem_n < rem_k or rem_n > (j - 1) * rem_k:
-                continue
-            descend(j - 1, rem_n, rem_k, [rj] + acc)
+        # the rest_k - r_j >= 2 parts of size > j need
+        # rest_n - j*r_j >= (j+1)*(rest_k - r_j), a lower bound on r_j
+        for rj in range(max(0, (j + 1) * rest_k - rest_n), rest_k - 1):
+            buf[j - 1] = rj
+            descend(j + 1, rest_n - j * rj, rest_k - rj)
+        # one part is left: it has size rest_n - j*(rest_k - 1) > j
+        buf[j - 1] = rest_k - 1
+        emit(PartitionType(tuple(buf[:j]) + zeros[: rest_n - j * rest_k - 1] + (1,)))
 
-    descend(L, n, k, [])
-    found.sort()
-    return [PartitionType(t) for t in found]
+    if k == 1:
+        return [PartitionType(zeros[: n - 1] + (1,))]
+    descend(1, n, k)
+    return found
 
 
 def order_fn(pt: PartitionType) -> int:
     """Count of partitions into linearly ordered blocks of type pt (Lah weight)."""
-    return factorial(pt.weight) // prod(factorial(x) for x in pt.r)
+    return factorial(pt.weight) // prod(map(factorial, pt.r))
 
 
 def cycle_fn(pt: PartitionType) -> int:
     """Count of partitions into cyclically ordered blocks of type pt."""
     num = order_fn(pt)
-    den = prod((j + 1) ** x for j, x in enumerate(pt.r))
+    den = prod(map(pow, range(1, len(pt.r) + 1), pt.r))
     q, rem = divmod(num, den)
     if rem:
         raise ValueError(f"cycle_fn not integral on {pt}")
@@ -105,7 +114,7 @@ def cycle_fn(pt: PartitionType) -> int:
 def subset_fn(pt: PartitionType) -> int:
     """Count of partitions into unordered blocks of type pt."""
     num = order_fn(pt)
-    den = prod(factorial(j + 1) ** x for j, x in enumerate(pt.r))
+    den = prod(map(pow, map(factorial, range(1, len(pt.r) + 1)), pt.r))
     q, rem = divmod(num, den)
     if rem:
         raise ValueError(f"subset_fn not integral on {pt}")
@@ -128,16 +137,21 @@ def stirling_fn(pt: PartitionType) -> int:
     """Signed first-kind coefficient on a type in P(2n-1-k, n-1).
 
     (-1)^(n-1-r1) * (2n-2-r1)! / ((k-1)! r2! r3! ... (2!)^r2 (3!)^r3 ...)
+
+    with n and k as in `stirling_indices`, computed here inline.
     """
-    n, k = stirling_indices(pt)
-    r1 = pt.r[0] if pt.r else 0
-    num = factorial(2 * n - 2 - r1)
+    r = pt.r
+    length = pt.length
+    k = 2 * length + 1 - pt.weight
+    if k < 1:
+        raise ValueError(f"{pt} is not a first-kind coefficient type (k={k})")
+    r1 = r[0] if r else 0
+    num = factorial(2 * length - r1)  # (2n-2-r1)! with n = length + 1
     den = factorial(k - 1)
-    for j, x in enumerate(pt.r):
-        if j == 0:
-            continue
-        den *= factorial(x) * factorial(j + 1) ** x
+    for j, x in enumerate(r[1:], 2):
+        if x:
+            den *= factorial(x) * factorial(j) ** x
     q, rem = divmod(num, den)
     if rem:
         raise ValueError(f"stirling_fn not integral on {pt}")
-    return q if (n - 1 - r1) % 2 == 0 else -q
+    return q if (length - r1) % 2 == 0 else -q

@@ -250,3 +250,106 @@ def test_derivative_commutes_random(p, i, j):
     assert p.partial_derivative(i).partial_derivative(j) == p.partial_derivative(
         j
     ).partial_derivative(i)
+
+
+# ---------------------------------------------------------------------------
+# canonical-form guards: integer coefficients, trimmed nonnegative exponents
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("coeff", [1.5, 2.0, 0.0, True, False, Fraction(1, 2), Fraction(4, 2)])
+def test_non_int_coefficients_rejected(coeff):
+    with pytest.raises(ValueError, match="is not an int"):
+        MPoly({(1,): coeff})
+    with pytest.raises(ValueError, match="is not an int"):
+        MPoly.const(coeff)
+
+
+def test_keys_trimmed_and_checked_on_every_path():
+    assert MPoly({(1, 0, 0): 2}) == 2 * X1
+    assert MPoly({(1, 0, 0): 2, (1,): 3}) == 5 * X1
+    assert MPoly({(0, 0): 4}) == MPoly.const(4)
+    assert MPoly({(0, 1): 1}).coefficient((0, 1, 0)) == 1
+    assert [e for e, _ in MPoly({(2, 0): 1, (0, 0, 1, 0): 1}).terms()] == [(0, 0, 1), (2,)]
+    with pytest.raises(ValueError, match="negative exponent"):
+        MPoly({(0, -1, 2): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        MPoly({(1, -2, 0): 1})
+
+
+# ---------------------------------------------------------------------------
+# hashing agrees with equality across MPoly, LaurentX1 and int
+# ---------------------------------------------------------------------------
+
+
+def test_constant_hashes_as_its_int():
+    assert MPoly.const(3) == 3
+    assert hash(MPoly.const(3)) == hash(3)
+    assert {MPoly.const(3)} & {3} == {3}
+    assert MPoly.const(-7) in {-7: "x"}
+    assert MPoly.zero() == 0
+    assert hash(MPoly.zero()) == hash(0)
+    assert {MPoly.zero()} & {0} == {0}
+    assert MPoly.const(10**40) in {10**40}
+
+
+def test_laurent_without_denominator_hashes_as_numerator():
+    p = 3 * X2**2 - X1 * X3
+    v = LaurentX1.from_poly(p)
+    assert v == p
+    assert hash(v) == hash(p)
+    assert {v} & {p} == {v}
+    assert LaurentX1(p * X1**2, 2) == p
+    assert hash(LaurentX1(p * X1**2, 2)) == hash(p)
+    assert LaurentX1.from_poly(MPoly.const(5)) in {5}
+    assert LaurentX1.zero() in {0}
+    assert LaurentX1(p, 1) != p
+    # comparing with a bool must not raise, although MPoly.const(True) does
+    assert LaurentX1.one() == True  # noqa: E712
+    assert MPoly.zero() == False  # noqa: E712
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, st.integers(0, 3))
+def test_equal_values_hash_equal(p, den):
+    v = LaurentX1(p * X1**den, den)
+    assert v == p and hash(v) == hash(p)
+    q = MPoly(dict(p.terms()))
+    assert q == p and hash(q) == hash(p)
+    if p.width() == 0:
+        c = p.coefficient(())
+        assert p == c and hash(p) == hash(c)
+
+
+# ---------------------------------------------------------------------------
+# strict text grammar
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "   ", "3 X1", "X1 X2", "X0", "X0^2", "X01", "+X1", "X1+X2", "X1 +X2", "X1 + ",
+     "- X1", "X1 + - X2", "3*", "*X1", "X1^", "X1**2", "x1", "3.5*X1", "X1^-1", "2 3"],
+)
+def test_parse_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        parse_poly(text)
+
+
+def test_parse_accepts_the_grammar():
+    assert parse_poly(" 3*X2^2 - X1*X3\n") == 3 * X2**2 - X1 * X3
+    assert parse_poly("X1 - X1") == MPoly.zero()
+    assert parse_poly("2*X1*X1 + X1^2") == 3 * X1**2
+    assert parse_poly("-12") == MPoly.const(-12)
+    assert parse_poly("X12^3") == MPoly.monomial(1, (0,) * 11 + (3,))
+
+
+wide_exponents = st.lists(st.integers(0, 12), min_size=0, max_size=12).map(tuple)
+big_coefficients = st.integers(-(10**30), 10**30).filter(lambda c: c != 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(wide_exponents, big_coefficients, max_size=8).map(MPoly))
+def test_parse_format_round_trip(p):
+    assert parse_poly(format_poly(p)) == p
+    assert format_poly(parse_poly(format_poly(p))) == format_poly(p)

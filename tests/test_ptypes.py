@@ -12,7 +12,7 @@ import subprocess
 import sys
 import textwrap
 from itertools import combinations_with_replacement, permutations
-from math import comb, factorial
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
@@ -254,3 +254,114 @@ def test_weight_guards_raise_under_optimize():
         "subset_fn not integral on 0,2",
         "stirling_fn not integral on 0,2",
     ]
+
+
+# ---------------------------------------------------------------------------
+# the earlier kernels as oracles: a recursive enumerator over part sizes
+# L, L-1, ..., 1 followed by a sort, and generator-expression weights
+# ---------------------------------------------------------------------------
+
+
+def _trimmed(t: tuple[int, ...]) -> tuple[int, ...]:
+    while t and t[-1] == 0:
+        t = t[:-1]
+    return t
+
+
+def sorted_recursive_types(n: int, k: int) -> list[tuple[int, ...]]:
+    """P(n, k) by choosing r_L, ..., r_1 with L = n-k+1, then sorting."""
+    if k == 0:
+        return [()] if n == 0 else []
+    if n < k:
+        return []
+    found: list[tuple[int, ...]] = []
+
+    def descend(j, rest_n, rest_k, acc):
+        if j == 1:
+            if rest_n == rest_k:
+                found.append(tuple([rest_k] + acc))
+            return
+        for rj in range(min(rest_n // j, rest_k) + 1):
+            rem_n = rest_n - j * rj
+            rem_k = rest_k - rj
+            if rem_n < rem_k or rem_n > (j - 1) * rem_k:
+                continue
+            descend(j - 1, rem_n, rem_k, [rj] + acc)
+
+    descend(n - k + 1, n, k, [])
+    found.sort()
+    return [_trimmed(t) for t in found]
+
+
+def _weight(r):
+    return sum((j + 1) * x for j, x in enumerate(r))
+
+
+def oracle_order(r):
+    return factorial(_weight(r)) // prod(factorial(x) for x in r)
+
+
+def oracle_cycle(r):
+    return oracle_order(r) // prod((j + 1) ** x for j, x in enumerate(r))
+
+
+def oracle_subset(r):
+    return oracle_order(r) // prod(factorial(j + 1) ** x for j, x in enumerate(r))
+
+
+def oracle_stirling(r):
+    n = sum(r) + 1
+    k = 2 * sum(r) + 1 - _weight(r)
+    r1 = r[0] if r else 0
+    den = factorial(k - 1)
+    for j, x in enumerate(r):
+        if j:
+            den *= factorial(x) * factorial(j + 1) ** x
+    q = factorial(2 * n - 2 - r1) // den
+    return q if (n - 1 - r1) % 2 == 0 else -q
+
+
+def test_enumeration_matches_sorted_recursive_oracle():
+    for n in range(31):
+        for k in range(n + 2):
+            assert [pt.r for pt in partition_types(n, k)] == sorted_recursive_types(n, k)
+
+
+def test_enumerated_vectors_are_trimmed_and_nonnegative():
+    for n in range(31):
+        for k in range(n + 1):
+            for pt in partition_types(n, k):
+                assert not pt.r or pt.r[-1] > 0
+                assert min(pt.r, default=0) >= 0
+
+
+def test_weights_match_oracles_on_gen_rows():
+    # every type a row of msp gen up to n = 26 weighs: P(n, k) for B, Bt and
+    # L, and P(2n-1-k, n-1) for S
+    for n in range(1, 27):
+        for k in range(1, n + 1):
+            for pt in partition_types(n, k):
+                assert order_fn(pt) == oracle_order(pt.r)
+                assert cycle_fn(pt) == oracle_cycle(pt.r)
+                assert subset_fn(pt) == oracle_subset(pt.r)
+            for pt in partition_types(2 * n - 1 - k, n - 1):
+                assert stirling_fn(pt) == oracle_stirling(pt.r)
+                assert stirling_indices(pt) == (n, k)
+
+
+def test_partition_type_constructor_still_validates():
+    with pytest.raises(ValueError, match="negative multiplicity"):
+        PartitionType((1, -1, 2))
+    with pytest.raises(ValueError, match="negative multiplicity"):
+        PartitionType((-1,))
+    assert PartitionType((0, 0)).r == ()
+    assert PartitionType((0, 3, 0)).r == (0, 3)
+    assert PartitionType(()).r == ()
+    assert PartitionType((0, 3, 0)) == PartitionType((0, 3))
+
+
+def test_stirling_fn_rejects_non_first_kind_type_with_k():
+    with pytest.raises(ValueError, match=r"^0,0,2 is not a first-kind coefficient type \(k=-1\)$"):
+        stirling_fn(PartitionType((0, 0, 2)))
+    with pytest.raises(ValueError, match=r"\(k=0\)"):
+        stirling_fn(PartitionType((0, 1, 1)))
