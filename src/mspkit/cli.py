@@ -16,7 +16,6 @@ import sys
 from fractions import Fraction
 
 from . import msp, series, stirling, verify
-from .poly import LaurentX1
 from .ptypes import partition_types
 
 
@@ -156,13 +155,8 @@ def _cmd_msp_gen(parser, args) -> int:
             print(json.dumps(payload, separators=(",", ":")))
     elif args.format == "latex":
         for k, value in items:
-            body = (
-                value.to_latex()
-                if not isinstance(value, LaurentX1)
-                else f"X_{{1}}^{{-{value.x1_den}}}({value.num.to_latex()})"
-            )
             index = args.n if k is None else f"{args.n},{k}"
-            print(f"${args.kind}_{{{index}}}={body}$")
+            print(f"${args.kind}_{{{index}}}={value.to_latex()}$")
     else:
         if single:
             print(str(items[0][1]))

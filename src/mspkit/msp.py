@@ -103,8 +103,7 @@ def _recursive(kind: str, n: int, k: int, cache: MspCache | None, seed: MPoly, s
                 c.put(kind, 1, 1, seed)
                 continue
             prev = c.get(kind, m - 1, kk) or MPoly.zero()
-            # P_{m-1,kk-1} is zero for kk = 1 since m-1 >= 1 here
-            low = (c.get(kind, m - 1, kk - 1) if kk > 1 else None) or MPoly.zero()
+            low = c.get(kind, m - 1, kk - 1) or MPoly.zero()
             deriv = MPoly.zero()
             for j in range(1, prev.width() + 1):
                 deriv = deriv + MPoly.var(j + 1) * prev.partial_derivative(j)
@@ -191,8 +190,6 @@ def stirling_first_from_assoc(n: int, k: int, cache: MspCache | None = None) -> 
     total = MPoly.zero()
     for r in range(k - 1, n):
         coeff = comb(2 * n - 2 - r, k - 1)
-        if coeff == 0:
-            continue
         part = family("Bt", 2 * n - 1 - k - r, n - 1 - r, c)
         if part.is_zero:
             continue
@@ -221,17 +218,15 @@ def first_from_second_schloemilch(
     """
     _check_triangle(n, k)
     c = _cache(cache)
-    total = LaurentX1.zero()
+    total = MPoly.zero()
     for r in range(k - 1, n):
         coeff = comb(2 * n - 2 - r, k - 1) * comb(2 * n - k, r + 1 - k)
-        if coeff == 0:
-            continue
         part = family("B", 2 * n - 1 - k - r, n - 1 - r, c)
         if part.is_zero:
             continue
         sign = 1 if (n - 1 - r) % 2 == 0 else -1
-        total = total + LaurentX1(part * (sign * coeff), 2 * n - 1 - r)
-    return total
+        total = total + part.shift_x1(r) * (sign * coeff)
+    return LaurentX1(total, 2 * n - 1)
 
 
 def second_from_first(n: int, k: int, cache: MspCache | None = None) -> MPoly:
@@ -242,8 +237,6 @@ def second_from_first(n: int, k: int, cache: MspCache | None = None) -> MPoly:
     total = LaurentX1.zero()
     for r in range(k - 1, n):
         coeff = comb(2 * n - 2 - r, k - 1) * comb(2 * n - k, r + 1 - k)
-        if coeff == 0:
-            continue
         part = family("A", 2 * n - 1 - k - r, n - 1 - r, c)
         if part.is_zero:
             continue

@@ -346,26 +346,34 @@ def _monomial_str(exps: Exponents, latex: bool) -> str:
     return ("" if latex else "*").join(parts)
 
 
-def format_poly(p: MPoly, latex: bool = False) -> str:
-    if p.is_zero:
-        return "0"
+def join_terms(terms: Iterable[tuple[int | Fraction, str]], times: str = "*") -> str:
+    """Join nonzero (coefficient, monomial) pairs as `c*m + c*m - ...`.
+
+    A unit coefficient shows as its sign alone, an empty monomial as the
+    bare coefficient; `times` goes between a coefficient and its monomial.
+    No terms give "0".
+    """
     chunks: list[str] = []
-    for exps, coeff in p.terms():
-        mono = _monomial_str(exps, latex)
+    for coeff, mono in terms:
         mag = abs(coeff)
         if not mono:
             body = str(mag)
         elif mag == 1:
             body = mono
-        elif latex:
-            body = f"{mag}{mono}"
         else:
-            body = f"{mag}*{mono}"
+            body = f"{mag}{times}{mono}"
         if not chunks:
             chunks.append(("-" if coeff < 0 else "") + body)
         else:
             chunks.append(("- " if coeff < 0 else "+ ") + body)
-    return " ".join(chunks)
+    return " ".join(chunks) if chunks else "0"
+
+
+def format_poly(p: MPoly, latex: bool = False) -> str:
+    return join_terms(
+        [(coeff, _monomial_str(exps, latex)) for exps, coeff in p.terms()],
+        "" if latex else "*",
+    )
 
 
 _FACTOR = r"X[1-9][0-9]*(?:\^[0-9]+)?"
@@ -520,6 +528,12 @@ class LaurentX1:
 
     def __repr__(self) -> str:
         return f"LaurentX1({self!s})"
+
+    def to_latex(self) -> str:
+        """num in LaTeX, times X_{1}^{-x1_den} when there is a denominator."""
+        if self._den == 0:
+            return self._num.to_latex()
+        return f"X_{{1}}^{{-{self._den}}}({self._num.to_latex()})"
 
     def to_json_dict(self) -> dict:
         d = self._num.to_json_dict()

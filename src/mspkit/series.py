@@ -22,6 +22,7 @@ result is divided back once, exactly.
     egf_compose, exp_transform        B_{n,k}(g) read from one triangle built
                                       by the Prop 5.5 convolution
                                       B_{n,k} = sum_j C(n-1,j-1) g_j B_{n-j,k-1}
+                                      (stirling.convolution_table)
     revert_msp, exp_transform_inverse S_{n,k}(f)/f_1^(2n-1) as the explicit
                                       type sum over P(2n-1-k, n-1) with
                                       stirling_fn weights
@@ -31,10 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import factorial, lcm
 
 from . import msp
+from .poly import join_terms
 from .ptypes import partition_types, stirling_fn
+from .stirling import convolution_table, recurrence_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,20 +127,11 @@ class TPoly:
         return total
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        chunks = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mono = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
-            mag = abs(c)
-            body = str(mag) if not mono else (mono if mag == 1 else f"{mag}*{mono}")
-            if not chunks:
-                chunks.append(("-" if c < 0 else "") + body)
-            else:
-                chunks.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(chunks) if chunks else "0"
+        return join_terms(
+            (c, "" if k == 0 else ("t" if k == 1 else f"t^{k}"))
+            for k, c in enumerate(self.coeffs)
+            if c
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -153,21 +147,14 @@ def _cleared(f: Egf, order: int) -> tuple[int, list[int]]:
     return D, [0] + [c.numerator * (D // c.denominator) for c in cs]
 
 
-def _bell_triangle(g: Egf, order: int) -> tuple[int, list[list[int]]]:
+def _bell_triangle(g: Egf, order: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(D, T) with B_{n,k}(g_1, ..., g_{n-k+1}) = T[n][k] / D^k, 0 <= k <= n <= order.
 
     Prop 5.5, B_{n,k} = sum_j C(n-1,j-1) g_j B_{n-j,k-1}, run on the cleared
     integers a_j = D*g_j; B_{n,k} is homogeneous of degree k.
     """
     D, a = _cleared(g, order)
-    T = [[1]]
-    for n in range(1, order + 1):
-        ca = [0] + [comb(n - 1, j - 1) * a[j] for j in range(1, n + 1)]
-        row = [0] * (n + 1)
-        for k in range(1, n + 1):
-            row[k] = sum(ca[j] * T[n - j][k - 1] for j in range(1, n - k + 2) if ca[j])
-        T.append(row)
-    return D, T
+    return D, convolution_table("B", order, a).rows
 
 
 def _lie_value(n: int, k: int, D: int, a: list[int]) -> Fraction:
@@ -190,25 +177,6 @@ def _lie_value(n: int, k: int, D: int, a: list[int]) -> Fraction:
 # ---------------------------------------------------------------------------
 # series arithmetic
 # ---------------------------------------------------------------------------
-
-
-def egf_product(f, g, order: int) -> tuple[Fraction, ...]:
-    """EGF convolution h_n = sum_j C(n,j) f_j g_{n-j} for n = 0..order.
-
-    Inputs are plain sequences indexed from 0 (constant term included).
-    """
-    fv = [Fraction(c) for c in f]
-    gv = [Fraction(c) for c in g]
-
-    def get(seq, i):
-        return seq[i] if i < len(seq) else Fraction(0)
-
-    out = []
-    binom = [1]
-    for n in range(order + 1):
-        out.append(sum(binom[j] * get(fv, j) * get(gv, n - j) for j in range(n + 1)))
-        binom = [1] + [binom[i] + binom[i + 1] for i in range(n)] + [1]
-    return tuple(out)
 
 
 def egf_compose(f: Egf, g: Egf, order: int | None = None) -> Egf:
@@ -254,10 +222,7 @@ def revert_comtet(f: Egf, cache: msp.MspCache | None = None) -> EgfCoeffs:
         point = [Fraction(0)] + [f.f(j) for j in range(2, n + 1)]
         total = Fraction(0)
         for k in range(1, n):
-            poly = msp.assoc_bell(n + k - 1, k, cache)
-            width = poly.width()
-            pt = point + [Fraction(0)] * max(0, width - len(point))
-            value = poly.eval_rat(pt)
+            value = msp.assoc_bell(n + k - 1, k, cache).eval_rat(point)
             if value:
                 total += (-1) ** k * f1 ** (-n - k) * value
         out.append(total)
@@ -290,7 +255,7 @@ def revert_oracle(f: Egf) -> EgfCoeffs:
 def _trunc_mul(p: list[Fraction], q: list[Fraction], order: int) -> list[Fraction]:
     out = [Fraction(0)] * (order + 1)
     for i, pi in enumerate(p):
-        if pi == 0 or i > order:
+        if pi == 0:
             continue
         for j in range(min(order - i, len(q) - 1) + 1):
             if q[j]:
@@ -303,19 +268,13 @@ def _trunc_mul(p: list[Fraction], q: list[Fraction], order: int) -> list[Fractio
 # ---------------------------------------------------------------------------
 
 
-def total_partitions_triangle(nmax: int) -> list[list[int]]:
+def total_partitions_triangle(nmax: int) -> tuple[tuple[int, ...], ...]:
     """The triangle b_{n,k} = (2n-k) b_{n-1,k-1} + 2k b_{n-1,k}, rows 0..nmax."""
-    rows = [[1]]
-    for n in range(1, nmax + 1):
-        prev = rows[-1]
-
-        def at(k: int) -> int:
-            return prev[k] if 0 <= k < len(prev) else 0
-
-        rows.append(
-            [0] + [(2 * n - k) * at(k - 1) + 2 * k * at(k) for k in range(1, n + 1)]
-        )
-    return rows
+    return recurrence_table(
+        "total",
+        nmax,
+        lambda t, n, k: (2 * n - k) * t(n - 1, k - 1) + 2 * k * t(n - 1, k),
+    ).rows
 
 
 def total_partitions_recurrence(nmax: int) -> list[int]:

@@ -4,6 +4,13 @@ Recurrence-built triangular tables are the canonical source; every closed
 formula in this module is an independent computation path that must agree
 with the tables.  All arithmetic is exact (Python ints, Fractions for the
 intermediate ratios that are not termwise integral).
+
+Every table comes from one of two builders, both zero outside 0 <= k <= n:
+recurrence_table fills rows from a step over the earlier rows (s1, s2, c,
+Lah, and the series module's total-partition triangle); convolution_table
+runs the Prop 5.5 convolution over integer weights a_j, so its entries are
+the Bell values B_{n,k}(a_1, a_2, ...) (the associated numbers, and the
+series module's Bell triangle at cleared coefficients).
 """
 
 from __future__ import annotations
@@ -32,70 +39,83 @@ class NumberTable:
         return 0
 
 
-def _build(kind: str, nmax: int, step) -> NumberTable:
-    """Fill a triangle from row 0 = (1,) using step(prev_row, n, k)."""
+def recurrence_table(kind: str, nmax: int, step) -> NumberTable:
+    """Fill rows 0..nmax from row 0 = (1,), with entry (n, k) = step(t, n, k)
+    for 1 <= k <= n and (n, 0) = 0; t(m, j) reads any earlier row and is 0
+    outside 0 <= j <= m."""
+    if nmax < 0:
+        raise ValueError("table size must be nonnegative")
+    rows: list[tuple[int, ...]] = [(1,)]
+
+    def t(m: int, j: int) -> int:
+        return rows[m][j] if 0 <= j <= m else 0
+
+    for n in range(1, nmax + 1):
+        rows.append(tuple([0] + [step(t, n, k) for k in range(1, n + 1)]))
+    return NumberTable(kind, tuple(rows))
+
+
+def convolution_table(kind: str, nmax: int, a: list[int]) -> NumberTable:
+    """Prop 5.5 on integer weights a[1..nmax] (a[0] unused):
+
+    T(n,k) = sum_j C(n-1,j-1) a_j T(n-j,k-1),  T(0,0) = 1,
+
+    so T(n,k) is the partial Bell value B_{n,k}(a_1, a_2, ...).
+    """
     if nmax < 0:
         raise ValueError("table size must be nonnegative")
     rows: list[tuple[int, ...]] = [(1,)]
     for n in range(1, nmax + 1):
-        prev = rows[n - 1]
-
-        def at(k: int) -> int:
-            return prev[k] if 0 <= k < len(prev) else 0
-
-        rows.append(tuple([0] + [step(at, n - 1, k) for k in range(1, n + 1)]))
+        ca = [0] + [comb(n - 1, j - 1) * a[j] for j in range(1, n + 1)]
+        row = [0] * (n + 1)
+        for k in range(1, n + 1):
+            row[k] = sum(
+                ca[j] * rows[n - j][k - 1] for j in range(1, n - k + 2) if ca[j]
+            )
+        rows.append(tuple(row))
     return NumberTable(kind, tuple(rows))
 
 
 def s1_table(nmax: int) -> NumberTable:
     """Signed Stirling numbers of the first kind:
-    s1(n+1,k) = s1(n,k-1) - n*s1(n,k)."""
-    return _build("s1", nmax, lambda at, n, k: at(k - 1) - n * at(k))
+    s1(n,k) = s1(n-1,k-1) - (n-1)*s1(n-1,k)."""
+    return recurrence_table(
+        "s1", nmax, lambda t, n, k: t(n - 1, k - 1) - (n - 1) * t(n - 1, k)
+    )
 
 
 def s2_table(nmax: int) -> NumberTable:
-    """Stirling numbers of the second kind: s2(n+1,k) = s2(n,k-1) + k*s2(n,k)."""
-    return _build("s2", nmax, lambda at, n, k: at(k - 1) + k * at(k))
+    """Stirling numbers of the second kind: s2(n,k) = s2(n-1,k-1) + k*s2(n-1,k)."""
+    return recurrence_table(
+        "s2", nmax, lambda t, n, k: t(n - 1, k - 1) + k * t(n - 1, k)
+    )
 
 
 def cycle_table(nmax: int) -> NumberTable:
-    """Unsigned first-kind (cycle) numbers: c(n+1,k) = c(n,k-1) + n*c(n,k)."""
-    return _build("c", nmax, lambda at, n, k: at(k - 1) + n * at(k))
+    """Unsigned first-kind (cycle) numbers: c(n,k) = c(n-1,k-1) + (n-1)*c(n-1,k)."""
+    return recurrence_table(
+        "c", nmax, lambda t, n, k: t(n - 1, k - 1) + (n - 1) * t(n - 1, k)
+    )
 
 
 def assoc_s2_table(nmax: int) -> NumberTable:
     """Associated Stirling numbers of the second kind (no singleton blocks),
-    built from the convolution S~(n,k) = sum_{j>=2} C(n-1,j-1) S~(n-j,k-1)."""
-    if nmax < 0:
-        raise ValueError("table size must be nonnegative")
-    rows: list[list[int]] = [[1]]
-    for n in range(1, nmax + 1):
-        row = [0] * (n + 1)
-        for k in range(1, n + 1):
-            row[k] = sum(
-                comb(n - 1, j - 1) * rows[n - j][k - 1]
-                for j in range(2, n - k + 2)
-                if k - 1 <= n - j
-            )
-        rows.append(row)
-    return NumberTable("assoc", tuple(tuple(r) for r in rows))
+    the associated Bell values Bt_{n,k}(1, 1, ...): Prop 5.5 with a_1 = 0 and
+    a_j = 1 for j >= 2."""
+    return convolution_table("assoc", nmax, [0, 0] + [1] * (nmax - 1))
 
 
 def lah_tables(nmax: int) -> tuple[NumberTable, NumberTable]:
-    """Unsigned and signed Lah numbers:
-    l+(n,k) = (n!/k!) C(n-1,k-1), l(n,k) = (-1)^n l+(n,k)."""
-    unsigned: list[tuple[int, ...]] = [(1,)]
-    signed: list[tuple[int, ...]] = [(1,)]
-    for n in range(1, nmax + 1):
-        urow = [0] + [
-            factorial(n) // factorial(k) * comb(n - 1, k - 1) for k in range(1, n + 1)
-        ]
-        sgn = 1 if n % 2 == 0 else -1
-        unsigned.append(tuple(urow))
-        signed.append(tuple(sgn * v for v in urow))
+    """Unsigned Lah numbers l+(n,k) = (n!/k!) C(n-1,k-1), from
+    l+(n,k) = l+(n-1,k-1) + (n-1+k)*l+(n-1,k), and the signed ones
+    l(n,k) = (-1)^n l+(n,k)."""
+
+    def step(t, n, k):
+        return t(n - 1, k - 1) + (n - 1 + k) * t(n - 1, k)
+
     return (
-        NumberTable("lah", tuple(unsigned)),
-        NumberTable("lah_signed", tuple(signed)),
+        recurrence_table("lah", nmax, step),
+        recurrence_table("lah_signed", nmax, lambda t, n, k: -step(t, n, k)),
     )
 
 

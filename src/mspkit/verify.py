@@ -474,19 +474,12 @@ def _sequence_inversion(depth, rng, cache):
     for n in range(depth + 1):
         acc = MPoly.zero()
         for k in range(n + 1):
-            if k == 0:
-                acc = acc + (q[0] if n == 0 else MPoly.zero())
-            else:
-                acc = acc + msp.bell_explicit(n, k, cache) * q[k]
+            acc = acc + msp.bell_explicit(n, k, cache) * q[k]
         p.append(acc)
     for n in range(depth + 1):
         acc = LaurentX1.zero()
         for k in range(n + 1):
-            if k == 0:
-                if n == 0:
-                    acc = acc + LaurentX1.from_poly(p[0])
-            else:
-                acc = acc + msp.lie_first(n, k, cache) * p[k]
+            acc = acc + msp.family("A", n, k, cache) * p[k]
         if acc != LaurentX1.from_poly(q[n]):
             return f"n={n}: recovered {acc} != original {q[n]}"
     return None

@@ -82,6 +82,14 @@ def test_gen_latex(capsys):
     assert out.strip() == "$S_{2,1}=-X_{2}$"
 
 
+def test_gen_latex_laurent(capsys):
+    code, out, _ = run_cli(
+        capsys, "msp", "gen", "--kind", "A", "--n", "3", "--k", "2", "--format", "latex"
+    )
+    assert code == 0
+    assert out == "$A_{3,2}=X_{1}^{-4}(-3X_{2})$\n"
+
+
 def test_gen_text_deterministic(capsys):
     _, first, _ = run_cli(capsys, "msp", "gen", "--kind", "S", "--n", "6")
     _, second, _ = run_cli(capsys, "msp", "gen", "--kind", "S", "--n", "6")

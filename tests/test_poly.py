@@ -152,6 +152,13 @@ def test_laurent_to_poly_guard():
     assert LaurentX1(X1 * X2, 1).to_poly() == X2
 
 
+def test_laurent_to_latex():
+    p = 3 * X2**2 - X1 * X3
+    assert LaurentX1(p, 0).to_latex() == p.to_latex() == "3X_{2}^{2} - X_{1}X_{3}"
+    assert LaurentX1(-3 * X2, 4).to_latex() == "X_{1}^{-4}(-3X_{2})"
+    assert LaurentX1(MPoly.const(1), 1).to_latex() == "X_{1}^{-1}(1)"
+
+
 def test_laurent_eval():
     v = LaurentX1(-X2, 3)  # -X2/X1^3
     assert v.eval_rat([Fraction(1, 2), 3]) == -24

@@ -1,0 +1,70 @@
+"""Byte-identity of the outputs that define "same results".
+
+A refactor must leave the `verify` report and the `msp gen` output unchanged
+byte for byte.  The sha256 digests below were recorded before `stirling` and
+`series` shared one triangle builder, one Prop 5.5 kernel and one term
+renderer.  A change that alters any of these outputs on purpose records new
+digests and says why in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from mspkit import cli, msp, verify
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# verify.report_json(run_suite(15, seed=s), 15, s); the CLI's
+# `verify run --max-n 15 --format json` stdout adds one newline to it
+REPORT_DIGESTS = {
+    0: "e3f819c4d2b583f850aa82468b17fad20ad336a3973f75fa1621533121e1611c",
+    7: "301977bc4902b264a88019aebbdc0d3447b9c0415c2e32f2dc02b0308a30fc26",
+}
+
+# `msp gen --kind K --n 6 --format F`, then (except for Bn) the same with --k 3
+GEN_DIGESTS = {
+    ("S", "text"): "44c4af8b751a6d9dffa19a92f42a7a2bf7d71c7d364ac394ff029ffbee6e2215",
+    ("S", "json"): "212b99c01772f174061928cad955224bbd3e33416a7cb50e728bbdb95cc829c8",
+    ("S", "latex"): "2defc4b1aff3e861d797419776a2b249a0ab1bb2567e591f62850fcffd6f5d25",
+    ("B", "text"): "f180364f55684ccc03e719643421780401a25e77f0eeb49b2e853947a5af8b17",
+    ("B", "json"): "c1277e6c9d95da8a7fa370a6a40fa30e04ebe4dce2489d7132f97d9b7205008d",
+    ("B", "latex"): "d71b85dbd5d1fd17eb273cf0513487cb0e11c9b0fac697ea629f6fb40722c23f",
+    ("Bt", "text"): "9f8aa1bb78f34f491947e0044a137c60c80f8d2f427e2b1e5091c0f9a40d7413",
+    ("Bt", "json"): "31ae070280fa6bff9b1dae40e9e142d987828811b80fd248c134cc84957af0f6",
+    ("Bt", "latex"): "a00d13aa1ec753b222eb6653fa71c048c0da12ae0c1fedfafe30bc5408a89ea1",
+    ("L", "text"): "2c4b9b4341e7fcc57cadb55b1d3bf338671af336dc935da14366c0ae8935a97c",
+    ("L", "json"): "f2b0d4dc72e330d3f5371e0669ca7932dfb159291ef9ccbbc48973a45bb64874",
+    ("L", "latex"): "6ff2032c212e98013dbacabf48c1e396cc94da3549ebb3d8a138253458c23076",
+    ("A", "text"): "6f9aa29c6ed62b44a1f64a53c4f8b86b1912898a2eed19609bdd65cc422579e8",
+    ("A", "json"): "fb3f51e5f5305cdd031e46f532662f94e1843118520aab42385660f0c55cf1ff",
+    ("A", "latex"): "80e246ec383852558a542e71c5129e93f8a4ee6635f298791dafe87248f64e14",
+    ("Bn", "text"): "dc32931cb703decaea01fbf1cf38ebb237116fdb355bb88439b2214b93db3dcc",
+    ("Bn", "json"): "7f70048963e5a27229ae0500f1d2f797721c62576c583b530f9fdab411df2bd8",
+    ("Bn", "latex"): "77560045e5e495ebf0e3c8afe589081b709d3f73572eec41567d1370a98effc9",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(REPORT_DIGESTS))
+def test_verify_report_digest(seed):
+    report = verify.report_json(verify.run_suite(15, seed=seed), 15, seed)
+    assert sha256(report) == REPORT_DIGESTS[seed]
+
+
+def test_gen_digests_cover_every_kind_and_format():
+    assert set(GEN_DIGESTS) == {
+        (kind, fmt) for kind in msp.KINDS for fmt in ("text", "json", "latex")
+    }
+
+
+@pytest.mark.parametrize("kind, fmt", sorted(GEN_DIGESTS))
+def test_gen_output_digest(capsys, kind, fmt):
+    runs = [["--n", "6"]] + ([] if kind == "Bn" else [["--n", "6", "--k", "3"]])
+    for extra in runs:
+        assert cli.main(["msp", "gen", "--kind", kind, *extra, "--format", fmt]) == 0
+    assert sha256(capsys.readouterr().out) == GEN_DIGESTS[kind, fmt]

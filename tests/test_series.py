@@ -116,28 +116,13 @@ def test_tpoly():
     assert p.coefficient(1) == 2 and p.coefficient(9) == 0
 
 
+def test_tpoly_str_rational_coefficients():
+    assert str(TPoly((F(-1, 2), F(0), F(-1), F(3, 4)))) == "-1/2 - t^2 + 3/4*t^3"
+
+
 # ---------------------------------------------------------------------------
-# product and composition
+# composition
 # ---------------------------------------------------------------------------
-
-
-def test_egf_product_exp_squared():
-    ones = [F(1)] * 9  # e^x including the constant term
-    got = series.egf_product(ones, ones, 8)
-    assert got == tuple(F(2) ** n for n in range(9))
-
-
-def test_egf_product_identity():
-    f = [F(0), F(3), F(-1), F(5)]
-    one = [F(1)]
-    assert series.egf_product(f, one, 3) == tuple(f)
-
-
-def test_egf_product_exp_minus_one_squared():
-    f = [F(0)] + [F(1)] * 8  # e^x - 1
-    got = series.egf_product(f, f, 8)
-    assert got[0] == 0 and got[1] == 0
-    assert all(got[n] == 2**n - 2 for n in range(1, 9))
 
 
 def test_compose_with_identity():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mspkit import stirling
+from mspkit import series, stirling
 
 # ---------------------------------------------------------------------------
 # oracles: exhaustive set-partition enumeration via restricted growth strings
@@ -123,6 +123,40 @@ def test_lah_tables():
             assert unsigned.value(n, k) == factorial(n) // factorial(k) * comb(
                 n - 1, k - 1
             )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        stirling.s1_table,
+        stirling.s2_table,
+        stirling.cycle_table,
+        stirling.assoc_s2_table,
+        stirling.lah_tables,
+        series.total_partitions_triangle,
+    ],
+)
+def test_negative_table_size_rejected(build):
+    with pytest.raises(ValueError, match="nonnegative"):
+        build(-1)
+
+
+@pytest.mark.parametrize(
+    "weight, table",
+    [
+        (lambda j: 1, stirling.s2_table),  # B_{n,k}(1, 1, ...) = s2(n,k)
+        (factorial, stirling.cycle_table),  # B_{n,k}(0!, 1!, 2!, ...) = c(n,k)
+    ],
+)
+def test_convolution_table_gives_bell_values(weight, table):
+    a = [0] + [weight(j - 1) for j in range(1, 13)]
+    assert stirling.convolution_table("B", 12, a).rows == table(12).rows
+
+
+def test_lah_signed_is_sign_times_unsigned():
+    unsigned, signed = stirling.lah_tables(12)
+    for n in range(13):
+        assert signed.rows[n] == tuple((-1) ** n * v for v in unsigned.rows[n])
 
 
 def test_bell_numbers():
