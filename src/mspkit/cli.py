@@ -275,7 +275,7 @@ def _cmd_verify_run(parser, args) -> int:
     if args.max_n < 1:
         parser.error("max-n must be >= 1")
     selection = None
-    if args.only:
+    if args.only is not None:
         selection = [chunk.strip() for chunk in args.only.split(",") if chunk.strip()]
     try:
         results = verify.run_suite(args.max_n, selection=selection, seed=args.seed)

@@ -32,6 +32,7 @@ from math import comb
 
 from .poly import LaurentX1, MPoly
 from .ptypes import order_fn, partition_types, stirling_fn, subset_fn
+from .stirling import schloemilch_ladder
 
 CacheValue = MPoly | LaurentX1
 
@@ -95,6 +96,7 @@ def _recursive(kind: str, n: int, k: int, cache: MspCache | None, seed: MPoly, s
     reading members outside the triangle as zero.
     """
     c = _cache(cache)
+    zero = MPoly.zero()
     for m in range(1, n + 1):
         for kk in range(1, m + 1):
             if c.get(kind, m, kk) is not None:
@@ -102,8 +104,9 @@ def _recursive(kind: str, n: int, k: int, cache: MspCache | None, seed: MPoly, s
             if m == 1:
                 c.put(kind, 1, 1, seed)
                 continue
-            prev = c.get(kind, m - 1, kk) or MPoly.zero()
-            low = c.get(kind, m - 1, kk - 1) or MPoly.zero()
+            # (m-1, m) and (m-1, 0) lie outside the triangle: never stored
+            prev = c.get(kind, m - 1, kk) if kk < m else zero
+            low = c.get(kind, m - 1, kk - 1) if kk > 1 else zero
             deriv = MPoly.zero()
             for j in range(1, prev.width() + 1):
                 deriv = deriv + MPoly.var(j + 1) * prev.partial_derivative(j)
@@ -188,13 +191,10 @@ def stirling_first_from_assoc(n: int, k: int, cache: MspCache | None = None) -> 
     _check_triangle(n, k)
     c = _cache(cache)
     total = MPoly.zero()
-    for r in range(k - 1, n):
-        coeff = comb(2 * n - 2 - r, k - 1)
+    for r, lead, _ in schloemilch_ladder(n, k):
         part = family("Bt", 2 * n - 1 - k - r, n - 1 - r, c)
-        if part.is_zero:
-            continue
-        sign = 1 if (n - 1 - r) % 2 == 0 else -1
-        total = total + part.shift_x1(r) * (sign * coeff)
+        if not part.is_zero:
+            total = total + part.shift_x1(r) * lead
     return total
 
 
@@ -219,13 +219,10 @@ def first_from_second_schloemilch(
     _check_triangle(n, k)
     c = _cache(cache)
     total = MPoly.zero()
-    for r in range(k - 1, n):
-        coeff = comb(2 * n - 2 - r, k - 1) * comb(2 * n - k, r + 1 - k)
+    for r, lead, tail in schloemilch_ladder(n, k):
         part = family("B", 2 * n - 1 - k - r, n - 1 - r, c)
-        if part.is_zero:
-            continue
-        sign = 1 if (n - 1 - r) % 2 == 0 else -1
-        total = total + part.shift_x1(r) * (sign * coeff)
+        if not part.is_zero:
+            total = total + part.shift_x1(r) * (lead * tail)
     return LaurentX1(total, 2 * n - 1)
 
 
@@ -235,13 +232,10 @@ def second_from_first(n: int, k: int, cache: MspCache | None = None) -> MPoly:
     _check_triangle(n, k)
     c = _cache(cache)
     total = LaurentX1.zero()
-    for r in range(k - 1, n):
-        coeff = comb(2 * n - 2 - r, k - 1) * comb(2 * n - k, r + 1 - k)
+    for r, lead, tail in schloemilch_ladder(n, k):
         part = family("A", 2 * n - 1 - k - r, n - 1 - r, c)
-        if part.is_zero:
-            continue
-        sign = 1 if (n - 1 - r) % 2 == 0 else -1
-        total = total + part * MPoly.monomial(sign * coeff, (2 * n - 1 - r,))
+        if not part.is_zero:
+            total = total + part * MPoly.monomial(lead * tail, (2 * n - 1 - r,))
     return total.to_poly()
 
 
@@ -303,31 +297,28 @@ def convolution_recurrence(
     raise ValueError(f"unknown convolution kind {kind!r} (expected B, S or Bt)")
 
 
+def _binomial_x1_sum(kind: str, sign: int, n: int, k: int, c: MspCache) -> MPoly:
+    """sum_{r=0}^{k} sign^r C(n,r) X1^r P_{n-r,k-r} over the family `kind`."""
+    total = MPoly.zero()
+    for r in range(k + 1):
+        part = family(kind, n - r, k - r, c)
+        if not part.is_zero:
+            total = total + part.shift_x1(r) * (sign**r * comb(n, r))
+    return total
+
+
 def cor45_expand(n: int, k: int, cache: MspCache | None = None) -> MPoly:
     """Rebuild B_{n,k} from the associated family:
     sum_{r=0}^{k} C(n,r) X1^r Bt_{n-r,k-r}."""
     _check_triangle(n, k)
-    c = _cache(cache)
-    total = MPoly.zero()
-    for r in range(k + 1):
-        part = family("Bt", n - r, k - r, c)
-        if not part.is_zero:
-            total = total + part.shift_x1(r) * comb(n, r)
-    return total
+    return _binomial_x1_sum("Bt", 1, n, k, _cache(cache))
 
 
 def eq68_invert(n: int, k: int, cache: MspCache | None = None) -> MPoly:
     """Rebuild Bt_{n,k} from the plain Bell family by binomial inversion:
-    sum_{j=0}^{k} (-1)^j C(n,j) X1^j B_{n-j,k-j}."""
+    sum_{r=0}^{k} (-1)^r C(n,r) X1^r B_{n-r,k-r}."""
     _check_triangle(n, k)
-    c = _cache(cache)
-    total = MPoly.zero()
-    for j in range(k + 1):
-        part = family("B", n - j, k - j, c)
-        if not part.is_zero:
-            sign = 1 if j % 2 == 0 else -1
-            total = total + part.shift_x1(j) * (sign * comb(n, j))
-    return total
+    return _binomial_x1_sum("B", -1, n, k, _cache(cache))
 
 
 def snk1_nested(n: int, cache: MspCache | None = None) -> MPoly:

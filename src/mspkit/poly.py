@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -31,6 +32,25 @@ def _trim(exps: Iterable[int]) -> Exponents:
     while t and t[-1] == 0:
         t = t[:-1]
     return t
+
+
+_INT = {int}
+
+
+def _check_exponents(terms: Mapping[Exponents, int]) -> None:
+    """Every exponent is a nonnegative int (not a bool), checked before
+    trimming drops a trailing 0.0 or False; one pass over all keys at once
+    is cheaper than a check per key on the generators' large rows."""
+    flat = list(chain.from_iterable(terms))
+    if not _INT.issuperset(map(type, flat)):
+        bad = next(e for e in terms if not _INT.issuperset(map(type, e)))
+        raise ValueError(f"exponent in {bad!r} is not an int")
+    if flat and min(flat) < 0:
+        bad = next(e for e in terms if e and min(e) < 0)
+        raise ValueError(f"negative exponent in {bad}")
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def _grlex_key(exps: Exponents) -> tuple[int, Exponents]:
@@ -45,6 +65,7 @@ class MPoly:
     def __init__(self, terms: Mapping[Exponents, int] | None = None):
         store: dict[Exponents, int] = {}
         if terms:
+            _check_exponents(terms)
             for exps, coeff in terms.items():
                 if type(coeff) is not int:
                     raise ValueError(f"coefficient {coeff!r} is not an int")
@@ -55,8 +76,6 @@ class MPoly:
                     key = exps
                 else:
                     key = _trim(exps)
-                if key and min(key) < 0:
-                    raise ValueError(f"negative exponent in {key}")
                 c = store.get(key, 0) + coeff
                 if c:
                     store[key] = c
@@ -73,16 +92,21 @@ class MPoly:
     def zero(cls) -> MPoly:
         return cls()
 
+    # const and var build valid keys and skip the constructor's exponent
+    # check: substitute and the recurrences build one of them per term
+
     @classmethod
     def const(cls, c: int) -> MPoly:
-        return cls({(): c})
+        if type(c) is not int:
+            raise ValueError(f"coefficient {c!r} is not an int")
+        return _raw({(): c} if c else {})
 
     @classmethod
     def var(cls, j: int) -> MPoly:
         """The indeterminate X_j (1-based)."""
         if j < 1:
             raise ValueError("indeterminate index must be >= 1")
-        return cls({(0,) * (j - 1) + (1,): 1})
+        return _raw({(0,) * (j - 1) + (1,): 1})
 
     @classmethod
     def monomial(cls, coeff: int, exps: Iterable[int]) -> MPoly:
@@ -310,7 +334,11 @@ class MPoly:
     def from_json_dict(cls, data: Mapping) -> MPoly:
         terms: dict[Exponents, int] = {}
         for item in data["terms"]:
-            terms[tuple(item["exponents"])] = int(item["coeff"])
+            coeff = item["coeff"]
+            # written as a decimal string; the constructor rejects any non-int
+            if type(coeff) is str and _DECIMAL.fullmatch(coeff):
+                coeff = int(coeff)
+            terms[tuple(item["exponents"])] = coeff
         return cls(terms)
 
     def to_json(self) -> str:
@@ -428,8 +456,8 @@ class LaurentX1:
     __slots__ = ("_num", "_den")
 
     def __init__(self, num: MPoly, x1_den: int = 0):
-        if x1_den < 0:
-            raise ValueError("x1_den must be nonnegative")
+        if type(x1_den) is not int or x1_den < 0:
+            raise ValueError(f"x1_den must be a nonnegative int, got {x1_den!r}")
         if num.is_zero:
             num, x1_den = MPoly.zero(), 0
         else:
@@ -485,11 +513,13 @@ class LaurentX1:
             return hash(self._num)
         return hash((self._num, self._den))
 
-    def __add__(self, other: LaurentX1) -> LaurentX1:
+    def __add__(self, other: LaurentX1 | MPoly | int) -> LaurentX1:
         if isinstance(other, (MPoly, int)):
             other = LaurentX1.from_poly(
                 other if isinstance(other, MPoly) else MPoly.const(other)
             )
+        if not isinstance(other, LaurentX1):
+            return NotImplemented
         d = max(self._den, other._den)
         num = self._num.shift_x1(d - self._den) + other._num.shift_x1(d - other._den)
         return LaurentX1(num, d)
@@ -503,10 +533,10 @@ class LaurentX1:
         return self + (-other)
 
     def __mul__(self, other: LaurentX1 | MPoly | int) -> LaurentX1:
-        if isinstance(other, int):
+        if isinstance(other, (MPoly, int)):
             return LaurentX1(self._num * other, self._den)
-        if isinstance(other, MPoly):
-            return LaurentX1(self._num * other, self._den)
+        if not isinstance(other, LaurentX1):
+            return NotImplemented
         return LaurentX1(self._num * other._num, self._den + other._den)
 
     __rmul__ = __mul__
@@ -542,4 +572,4 @@ class LaurentX1:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> LaurentX1:
-        return cls(MPoly.from_json_dict(data), int(data.get("x1_den", 0)))
+        return cls(MPoly.from_json_dict(data), data.get("x1_den", 0))

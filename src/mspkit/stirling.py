@@ -11,6 +11,10 @@ Lah, and the series module's total-partition triangle); convolution_table
 runs the Prop 5.5 convolution over integer weights a_j, so its entries are
 the Bell values B_{n,k}(a_1, a_2, ...) (the associated numbers, and the
 series module's Bell triangle at cleared coefficients).
+
+The Schloemilch ladder shared by Thm 6.1, Thm 6.4 and eqs. 6.9-6.10 is
+stated once, in schloemilch_ladder; the number formulas here and the
+polynomial expansions in the msp module iterate it.
 """
 
 from __future__ import annotations
@@ -141,6 +145,19 @@ def s2_bertrand(n: int, k: int) -> int:
     return q
 
 
+def schloemilch_ladder(n: int, k: int) -> list[tuple[int, int, int]]:
+    """The rungs (r, lead, tail), r = k-1..n-1, that expand the (n, k)
+    first-kind member in the second-kind members (2n-1-k-r, n-1-r):
+    lead = (-1)^(n-1-r) C(2n-2-r, k-1) weighs X1^r Bt in Thm 6.1, lead * tail
+    with tail = C(2n-k, r+1-k) weighs X1^r B in Thm 6.4, and at X = (1, 1, ...)
+    they give eqs. 6.10 and 6.9.  Neither binomial is zero on the ladder."""
+    return [
+        (r, (-1 if (n - 1 - r) % 2 else 1) * comb(2 * n - 2 - r, k - 1),
+         comb(2 * n - k, r + 1 - k))
+        for r in range(k - 1, n)
+    ]
+
+
 def s1_schloemilch_terms(
     n: int, k: int, s2: NumberTable | None = None
 ) -> list[tuple[int, int]]:
@@ -150,14 +167,11 @@ def s1_schloemilch_terms(
         raise ValueError(f"need 1 <= k <= n, got ({n},{k})")
     if s2 is None:
         s2 = s2_table(2 * n)
-    terms = []
-    for r in range(k - 1, n):
-        sign = 1 if (n - 1 - r) % 2 == 0 else -1
-        rest = comb(2 * n - k, r + 1 - k) * s2.value(2 * n - 1 - k - r, n - 1 - r)
-        lead = sign * comb(2 * n - 2 - r, k - 1)
-        if lead and rest:
-            terms.append((lead, rest))
-    return terms
+    terms = [
+        (lead, tail * s2.value(2 * n - 1 - k - r, n - 1 - r))
+        for r, lead, tail in schloemilch_ladder(n, k)
+    ]
+    return [term for term in terms if term[1]]
 
 
 def s1_schloemilch(n: int, k: int, s2: NumberTable | None = None) -> int:
@@ -175,14 +189,11 @@ def s1_via_assoc_terms(
         raise ValueError(f"need 1 <= k <= n, got ({n},{k})")
     if assoc is None:
         assoc = assoc_s2_table(2 * n)
-    terms = []
-    for r in range(k - 1, n):
-        sign = 1 if (n - 1 - r) % 2 == 0 else -1
-        rest = assoc.value(2 * n - 1 - k - r, n - 1 - r)
-        lead = sign * comb(2 * n - 2 - r, k - 1)
-        if lead and rest:
-            terms.append((lead, rest))
-    return terms
+    terms = [
+        (lead, assoc.value(2 * n - 1 - k - r, n - 1 - r))
+        for r, lead, _ in schloemilch_ladder(n, k)
+    ]
+    return [term for term in terms if term[1]]
 
 
 def s1_via_assoc(n: int, k: int, assoc: NumberTable | None = None) -> int:
@@ -215,26 +226,24 @@ def s2_via_cycle(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _inverse_pair(a: NumberTable, b: NumberTable, nmax: int) -> bool:
+    """sum_j a(n,j) b(j,k) = delta(n,k) for all 1 <= k <= n <= nmax."""
+    return all(
+        sum(a.value(n, j) * b.value(j, k) for j in range(k, n + 1)) == int(n == k)
+        for n in range(1, nmax + 1)
+        for k in range(1, n + 1)
+    )
+
+
 def stirling_orthogonality_check(nmax: int) -> bool:
     """sum_j s1(n,j) s2(j,k) = delta(n,k) for all 1 <= k <= n <= nmax."""
-    s1, s2 = s1_table(nmax), s2_table(nmax)
-    for n in range(1, nmax + 1):
-        for k in range(1, n + 1):
-            total = sum(s1.value(n, j) * s2.value(j, k) for j in range(k, n + 1))
-            if total != (1 if n == k else 0):
-                return False
-    return True
+    return _inverse_pair(s1_table(nmax), s2_table(nmax), nmax)
 
 
 def lah_self_inverse_check(nmax: int) -> bool:
     """The signed Lah numbers are self-inverse under triangular product."""
     _, signed = lah_tables(nmax)
-    for n in range(1, nmax + 1):
-        for k in range(1, n + 1):
-            total = sum(signed.value(n, j) * signed.value(j, k) for j in range(k, n + 1))
-            if total != (1 if n == k else 0):
-                return False
-    return True
+    return _inverse_pair(signed, signed, nmax)
 
 
 def example58_identities(nmax: int) -> bool:

@@ -6,6 +6,11 @@ scales the whole suite but never past a check's cap (symbolic Laurent
 checks are far more expensive per step than integer-table checks).
 Random-input checks draw from a generator seeded with (seed, check id), so
 two runs with the same seed produce byte-identical reports.
+
+Most checks assert that two computations agree on every cell of the
+triangle 1 <= k <= n <= depth.  Those register through `_identity`: each
+supplies only its labelled (k_min, lhs, rhs) triples, and one driver walks
+the cells and names the first mismatch by label, cell and both values.
 """
 
 from __future__ import annotations
@@ -107,16 +112,42 @@ def _check(check_id: str, cap: int, params: str):
     return wrap
 
 
+def _identity(check_id: str, cap: int):
+    """Register a check of lhs(n, k) == rhs(n, k) on the triangle.
+
+    The decorated build(depth, cache) makes any per-depth tables and returns
+    {label: (k_min, lhs, rhs)}.  The driver walks the cells 1 <= k <= n <=
+    depth row by row, compares every entry with k >= k_min at each cell, and
+    reports the first mismatch by its label, cell and both values.  The
+    callables look msp.* and stirling.* up when called, not capture them, so
+    that wrappers installed on those modules (a tracer) see every call.
+    """
+
+    def wrap(build):
+        def run(depth, rng, cache):
+            identities = build(depth, cache)
+            for n in range(1, depth + 1):
+                for k in range(1, n + 1):
+                    for label, (k_min, lhs, rhs) in identities.items():
+                        if k < k_min:
+                            continue
+                        a, b = lhs(n, k), rhs(n, k)
+                        if a != b:
+                            return f"{label} at ({n},{k}): {a} != {b}"
+            return None
+
+        _check(check_id, cap, "1<=k<=n<={d}")(run)
+        return build
+
+    return wrap
+
+
 def check_ids() -> list[str]:
     return [check.check_id for check in _REGISTRY]
 
 
 def _delta(n: int, k: int) -> LaurentX1:
     return LaurentX1.one() if n == k else LaurentX1.zero()
-
-
-def _ones(width: int) -> list[int]:
-    return [1] * max(width, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -158,72 +189,44 @@ def _inversion_law(depth, rng, cache):
     return None
 
 
-@_check("crosspath-bell", 12, "1<=k<=n<={d}")
-def _crosspath_bell(depth, rng, cache):
-    for n in range(1, depth + 1):
-        for k in range(1, n + 1):
-            a = msp.bell_explicit(n, k, cache)
-            b = msp.bell_recursive(n, k, cache)
-            if a != b:
-                return f"(B,{n},{k}): explicit {a} != recursive {b}"
-    return None
+@_identity("crosspath-bell", 12)
+def _crosspath_bell(depth, cache):
+    return {"B": (1, lambda n, k: msp.bell_explicit(n, k, cache),
+                  lambda n, k: msp.bell_recursive(n, k, cache))}
 
 
-@_check("crosspath-stirling", 12, "1<=k<=n<={d}")
-def _crosspath_stirling(depth, rng, cache):
-    for n in range(1, depth + 1):
-        for k in range(1, n + 1):
-            a = msp.stirling_first_explicit(n, k, cache)
-            b = msp.stirling_first_recursive(n, k, cache)
-            if a != b:
-                return f"(S,{n},{k}): explicit {a} != recursive {b}"
-    return None
+@_identity("crosspath-stirling", 12)
+def _crosspath_stirling(depth, cache):
+    return {"S": (1, lambda n, k: msp.stirling_first_explicit(n, k, cache),
+                  lambda n, k: msp.stirling_first_recursive(n, k, cache))}
 
 
-@_check("thm6.1-assoc-expansion", 12, "1<=k<=n<={d}")
-def _thm61(depth, rng, cache):
-    for n in range(1, depth + 1):
-        for k in range(1, n + 1):
-            a = msp.stirling_first_explicit(n, k, cache)
-            b = msp.stirling_first_from_assoc(n, k, cache)
-            if a != b:
-                return f"(S,{n},{k}): coefficient formula {a} != assoc expansion {b}"
-    return None
+@_identity("thm6.1-assoc-expansion", 12)
+def _thm61(depth, cache):
+    return {"S": (1, lambda n, k: msp.stirling_first_explicit(n, k, cache),
+                  lambda n, k: msp.stirling_first_from_assoc(n, k, cache))}
 
 
-@_check("cor5.4-compose", 9, "1<=k<=n<={d}")
-def _compose(depth, rng, cache):
-    for n in range(1, depth + 1):
-        for k in range(2, n + 1):
-            got = msp.compose_transform(n, k, cache)
-            want = msp.stirling_first_explicit(n, k, cache)
-            if got != want:
-                return f"(i) ({n},{k}): {got} != {want}"
-        for k in range(1, n + 1):
-            got2 = msp.compose_transform_second(n, k, cache)
-            want2 = LaurentX1.from_poly(msp.bell_explicit(n, k, cache))
-            if got2 != want2:
-                return f"(ii) ({n},{k}): {got2} != {want2}"
-    return None
+@_identity("cor5.4-compose", 9)
+def _compose(depth, cache):
+    return {
+        "(i)": (2, lambda n, k: msp.compose_transform(n, k, cache),
+                lambda n, k: msp.stirling_first_explicit(n, k, cache)),
+        "(ii)": (1, lambda n, k: msp.compose_transform_second(n, k, cache),
+                 lambda n, k: msp.bell_explicit(n, k, cache)),
+    }
 
 
-@_check("prop5.5-convolution", 10, "1<=k<=n<={d}")
-def _convolution(depth, rng, cache):
-    for n in range(1, depth + 1):
-        for k in range(1, n + 1):
-            if msp.convolution_recurrence(n, k, "B", cache) != msp.bell_explicit(
-                n, k, cache
-            ):
-                return f"(B,{n},{k}) convolution mismatch"
-            if msp.convolution_recurrence(n, k, "Bt", cache) != msp.assoc_bell(
-                n, k, cache
-            ):
-                return f"(Bt,{n},{k}) convolution mismatch"
-            if k >= 2 and msp.convolution_recurrence(
-                n, k, "S", cache
-            ) != msp.stirling_first_explicit(n, k, cache):
-                return f"(S,{n},{k}) convolution mismatch"
-    return None
+@_identity("prop5.5-convolution", 10)
+def _convolution(depth, cache):
+    return {
+        "B": (1, lambda n, k: msp.convolution_recurrence(n, k, "B", cache),
+              lambda n, k: msp.bell_explicit(n, k, cache)),
+        "Bt": (1, lambda n, k: msp.convolution_recurrence(n, k, "Bt", cache),
+               lambda n, k: msp.assoc_bell(n, k, cache)),
+        "S": (2, lambda n, k: msp.convolution_recurrence(n, k, "S", cache),
+              lambda n, k: msp.stirling_first_explicit(n, k, cache)),
+    }
 
 
 @_check("cor4.4-derivative", 12, "1<=k<=n<={d}, 1<=j<=n-k+1")
@@ -238,22 +241,16 @@ def _derivative_law(depth, rng, cache):
     return None
 
 
-@_check("cor4.5-expansion", 12, "1<=k<=n<={d}")
-def _cor45(depth, rng, cache):
-    for n in range(1, depth + 1):
-        for k in range(1, n + 1):
-            if msp.cor45_expand(n, k, cache) != msp.bell_explicit(n, k, cache):
-                return f"({n},{k}): X1-expansion does not rebuild B"
-    return None
+@_identity("cor4.5-expansion", 12)
+def _cor45(depth, cache):
+    return {"B": (1, lambda n, k: msp.cor45_expand(n, k, cache),
+                  lambda n, k: msp.bell_explicit(n, k, cache))}
 
 
-@_check("eq6.8-inversion", 12, "1<=k<=n<={d}")
-def _eq68(depth, rng, cache):
-    for n in range(1, depth + 1):
-        for k in range(1, n + 1):
-            if msp.eq68_invert(n, k, cache) != msp.assoc_bell(n, k, cache):
-                return f"({n},{k}): binomial inversion does not rebuild Bt"
-    return None
+@_identity("eq6.8-inversion", 12)
+def _eq68(depth, cache):
+    return {"Bt": (1, lambda n, k: msp.eq68_invert(n, k, cache),
+                   lambda n, k: msp.assoc_bell(n, k, cache))}
 
 
 @_check("eq6.1-nested", 8, "2<=n<={d}")
@@ -266,17 +263,14 @@ def _eq61(depth, rng, cache):
     return None
 
 
-@_check("thm6.4-schloemilch-poly", 9, "1<=k<=n<={d}")
-def _thm64(depth, rng, cache):
-    for n in range(1, depth + 1):
-        for k in range(1, n + 1):
-            if msp.first_from_second_schloemilch(n, k, cache) != msp.lie_first(
-                n, k, cache
-            ):
-                return f"(i) ({n},{k}) mismatch"
-            if msp.second_from_first(n, k, cache) != msp.bell_explicit(n, k, cache):
-                return f"(ii) ({n},{k}) mismatch"
-    return None
+@_identity("thm6.4-schloemilch-poly", 9)
+def _thm64(depth, cache):
+    return {
+        "(i)": (1, lambda n, k: msp.first_from_second_schloemilch(n, k, cache),
+                lambda n, k: msp.lie_first(n, k, cache)),
+        "(ii)": (1, lambda n, k: msp.second_from_first(n, k, cache),
+                 lambda n, k: msp.bell_explicit(n, k, cache)),
+    }
 
 
 @_check("cor6.3-type-identity", 12, "1<=k<=n<={d}, all types")
@@ -293,19 +287,15 @@ def _cor63(depth, rng, cache):
     return None
 
 
-@_check("prop3.7-coefficient-sums", 15, "1<=k<=n<={d}")
-def _coefficient_sums(depth, rng, cache):
-    s1 = stirling.s1_table(depth)
-    s2 = stirling.s2_table(depth)
-    for n in range(1, depth + 1):
-        for k in range(1, n + 1):
-            sv = msp.stirling_first_explicit(n, k, cache).eval_rat(_ones(n - k + 1))
-            bv = msp.bell_explicit(n, k, cache).eval_rat(_ones(n - k + 1))
-            if sv != s1.value(n, k):
-                return f"S[{n},{k}](1,..,1) = {sv} != s1 = {s1.value(n, k)}"
-            if bv != s2.value(n, k):
-                return f"B[{n},{k}](1,..,1) = {bv} != s2 = {s2.value(n, k)}"
-    return None
+@_identity("prop3.7-coefficient-sums", 15)
+def _coefficient_sums(depth, cache):
+    ones = [1] * depth
+    return {
+        "S": (1, lambda n, k: msp.stirling_first_explicit(n, k, cache).eval_rat(ones),
+              stirling.s1_table(depth).value),
+        "B": (1, lambda n, k: msp.bell_explicit(n, k, cache).eval_rat(ones),
+              stirling.s2_table(depth).value),
+    }
 
 
 @_check("rem3.4-degrees", 12, "1<=k<=n<={d}")
@@ -350,16 +340,11 @@ def _assoc_values(depth, rng, cache):
     return None
 
 
-@_check("cor4.6-lah-substitution", 10, "1<=k<=n<={d}")
-def _lah_substitution(depth, rng, cache):
-    for n in range(1, depth + 1):
-        for k in range(1, n + 1):
-            width = n - k + 1
-            subs = [MPoly.var(j) * factorial(j) for j in range(1, width + 1)]
-            want = msp.bell_explicit(n, k, cache).substitute(subs)
-            if msp.lah_poly(n, k, cache) != want:
-                return f"L[{n},{k}] != B[{n},{k}](1!X1,2!X2,...)"
-    return None
+@_identity("cor4.6-lah-substitution", 10)
+def _lah_substitution(depth, cache):
+    subs = [MPoly.var(j) * factorial(j) for j in range(1, depth + 1)]
+    return {"L": (1, lambda n, k: msp.lah_poly(n, k, cache),
+                  lambda n, k: msp.bell_explicit(n, k, cache).substitute(subs))}
 
 
 # ---------------------------------------------------------------------------
@@ -367,50 +352,30 @@ def _lah_substitution(depth, rng, cache):
 # ---------------------------------------------------------------------------
 
 
-@_check("eq6.7-cycle-formula", 12, "1<=k<=n<={d}")
-def _eq67(depth, rng, cache):
-    s2 = stirling.s2_table(depth)
-    for n in range(1, depth + 1):
-        for k in range(1, n + 1):
-            got = stirling.s2_via_cycle(n, k)
-            if got != s2.value(n, k):
-                return f"({n},{k}): cycle sum {got} != s2 {s2.value(n, k)}"
-    return None
+@_identity("eq6.7-cycle-formula", 12)
+def _eq67(depth, cache):
+    return {"s2": (1, lambda n, k: stirling.s2_via_cycle(n, k),
+                   stirling.s2_table(depth).value)}
 
 
-@_check("eq6.9-schloemilch-numbers", 15, "1<=k<=n<={d}")
-def _eq69(depth, rng, cache):
-    s1 = stirling.s1_table(depth)
+@_identity("eq6.9-schloemilch-numbers", 15)
+def _eq69(depth, cache):
     s2 = stirling.s2_table(2 * depth)
-    for n in range(1, depth + 1):
-        for k in range(1, n + 1):
-            got = stirling.s1_schloemilch(n, k, s2)
-            if got != s1.value(n, k):
-                return f"({n},{k}): {got} != {s1.value(n, k)}"
-    return None
+    return {"s1": (1, lambda n, k: stirling.s1_schloemilch(n, k, s2),
+                   stirling.s1_table(depth).value)}
 
 
-@_check("eq6.10-assoc-numbers", 15, "1<=k<=n<={d}")
-def _eq610(depth, rng, cache):
-    s1 = stirling.s1_table(depth)
+@_identity("eq6.10-assoc-numbers", 15)
+def _eq610(depth, cache):
     assoc = stirling.assoc_s2_table(2 * depth)
-    for n in range(1, depth + 1):
-        for k in range(1, n + 1):
-            got = stirling.s1_via_assoc(n, k, assoc)
-            if got != s1.value(n, k):
-                return f"({n},{k}): {got} != {s1.value(n, k)}"
-    return None
+    return {"s1": (1, lambda n, k: stirling.s1_via_assoc(n, k, assoc),
+                   stirling.s1_table(depth).value)}
 
 
-@_check("rem4.1-bertrand", 15, "1<=k<=n<={d}")
-def _bertrand(depth, rng, cache):
-    s2 = stirling.s2_table(depth)
-    for n in range(1, depth + 1):
-        for k in range(1, n + 1):
-            got = stirling.s2_bertrand(n, k)
-            if got != s2.value(n, k):
-                return f"({n},{k}): {got} != {s2.value(n, k)}"
-    return None
+@_identity("rem4.1-bertrand", 15)
+def _bertrand(depth, cache):
+    return {"s2": (1, lambda n, k: stirling.s2_bertrand(n, k),
+                   stirling.s2_table(depth).value)}
 
 
 @_check("ex5.2-orthogonality", 15, "n<={d}")
@@ -593,6 +558,8 @@ def run_suite(
         raise ValueError("max_n must be >= 1")
     known = check_ids()
     if selection is not None:
+        if not selection:
+            raise ValueError(f"empty check selection; valid ids: {', '.join(known)}")
         bad = [cid for cid in selection if cid not in known]
         if bad:
             raise ValueError(

@@ -303,3 +303,11 @@ def test_verify_report_same_under_optimize():
         assert proc.returncode == 0, proc.stderr
     assert runs[0].stdout == runs[1].stdout
     assert json.loads(runs[0].stdout)["max_n"] == 8
+
+
+@pytest.mark.parametrize("only", [",", ""])
+def test_verify_run_empty_selection_exits_2(capsys, only):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "run", "--max-n", "3", "--only", only])
+    assert exc.value.code == 2
+    assert "empty check selection" in capsys.readouterr().err

@@ -273,3 +273,21 @@ def test_x1_support_bounds():
         for k in range(1, n + 1):
             assert msp.stirling_first_explicit(n, k).min_x1_power() >= k - 1
             assert msp.bell_explicit(n, k).min_x1_power() >= max(0, 2 * k - n)
+
+
+def test_recursive_reads_only_cells_inside_the_triangle():
+    # neighbours outside 1 <= k <= n are never stored, so a lookup of one
+    # is a cache miss that can never hit
+    class RecordingCache(msp.MspCache):
+        def __init__(self):
+            super().__init__()
+            self.keys = []
+
+        def get(self, kind, n, k):
+            self.keys.append((kind, n, k))
+            return super().get(kind, n, k)
+
+    cache = RecordingCache()
+    assert msp.bell_recursive(6, 3, cache) == msp.bell_explicit(6, 3)
+    assert cache.keys
+    assert all(1 <= k <= n for _, n, k in cache.keys), cache.keys

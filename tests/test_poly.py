@@ -360,3 +360,57 @@ big_coefficients = st.integers(-(10**30), 10**30).filter(lambda c: c != 0)
 def test_parse_format_round_trip(p):
     assert parse_poly(format_poly(p)) == p
     assert format_poly(parse_poly(format_poly(p))) == format_poly(p)
+
+
+# ---------------------------------------------------------------------------
+# strict input: exponents, JSON coefficients and x1_den must be integers
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("exps", [(1.5,), (2.0,), (True,), (1, 0.0), (1, False), ("1",)])
+def test_non_int_exponents_rejected(exps):
+    with pytest.raises(ValueError, match="is not an int"):
+        MPoly({exps: 2})
+
+
+@pytest.mark.parametrize("exps", [[2.0], [1.5], [True], [1, False]])
+def test_json_non_int_exponents_rejected(exps):
+    with pytest.raises(ValueError, match="is not an int"):
+        MPoly.from_json_dict({"terms": [{"coeff": "3", "exponents": exps}]})
+
+
+@pytest.mark.parametrize("coeff", [2.5, 2.0, True, "2.5", " 2", "+2", "", None])
+def test_json_non_integer_coefficients_rejected(coeff):
+    with pytest.raises(ValueError, match="coefficient .* is not an int"):
+        MPoly.from_json_dict({"terms": [{"coeff": coeff, "exponents": [1]}]})
+
+
+def test_json_integer_coefficients_accepted():
+    data = {"terms": [{"coeff": "-3", "exponents": [1]}, {"coeff": 4, "exponents": [0, 2]}]}
+    assert MPoly.from_json_dict(data) == -3 * X1 + 4 * X2**2
+
+
+@pytest.mark.parametrize("den", [1.9, 1.0, True, "1", -1])
+def test_non_integer_x1_den_rejected(den):
+    data = {"terms": [{"coeff": "1", "exponents": [0, 1]}], "x1_den": den}
+    with pytest.raises(ValueError, match="x1_den must be a nonnegative int"):
+        LaurentX1.from_json_dict(data)
+    with pytest.raises(ValueError, match="x1_den must be a nonnegative int"):
+        LaurentX1(X2, den)
+
+
+def test_laurent_operators_defer_on_foreign_operands():
+    one = LaurentX1.one()
+    for other in (Fraction(1, 2), 0.5, "x"):
+        with pytest.raises(TypeError):
+            one + other
+        with pytest.raises(TypeError):
+            other + one
+        with pytest.raises(TypeError):
+            one * other
+        with pytest.raises(TypeError):
+            other * one
+    with pytest.raises(TypeError):
+        one - Fraction(1, 2)
+    assert one + X1 == X1 + one == LaurentX1.from_poly(X1 + 1)
+    assert one * 3 == 3 * one == 3

@@ -51,3 +51,27 @@ def test_tracer_sees_every_msp_layer(capsys, monkeypatch):
         assert spans[key][0] > 0, key
     assert tracer.counts["cache_misses"] > 0
     assert (msp.bell_explicit, msp.subset_fn, msp.partition_types, msp._GENERATORS["B"]) == originals
+
+
+def test_tracer_sees_verify_calls(capsys):
+    # the triangle checks must call msp and stirling through their modules,
+    # where the tracer's wrappers sit, and not through captured functions
+    mods = SimpleNamespace(
+        cli=cli, msp=msp, poly=poly, ptypes=ptypes, series=series, stirling=stirling, verify=verify
+    )
+    tracer = load_tracing().Tracer(mods)
+    tracer.install()
+    tracer.enabled = True
+    keys = ("msp.recursive", "msp.transform", "stirling.closed_form")
+    try:
+        before = [tracer.spans[key][0] for key in keys]
+        results = verify.run_suite(
+            4, selection=["crosspath-bell", "thm6.4-schloemilch-poly", "eq6.9-schloemilch-numbers"]
+        )
+        after = [tracer.spans[key][0] for key in keys]
+    finally:
+        tracer.uninstall()
+    assert "trace:" not in capsys.readouterr().err
+    assert all(r.passed for r in results)
+    for key, b, a in zip(keys, before, after):
+        assert a > b, key

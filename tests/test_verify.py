@@ -97,3 +97,30 @@ def test_wall_times_recorded_but_not_reported():
     results = verify.run_suite(2)
     assert all(r.wall_ms >= 0 for r in results)
     assert "wall" not in verify.report_json(results, 2, 0)
+
+
+def test_empty_selection_rejected():
+    with pytest.raises(ValueError, match="empty check selection"):
+        verify.run_suite(3, selection=[])
+
+
+@pytest.mark.parametrize(
+    "check_id, name, want",
+    [
+        ("cor4.5-expansion", "cor45_expand", "B at (3,2): 1 + 3*X1*X2 != 3*X1*X2"),
+        ("thm6.4-schloemilch-poly", "second_from_first", "(ii) at (3,2): 1 + 3*X1*X2 != 3*X1*X2"),
+    ],
+)
+def test_triangle_driver_names_identity_cell_and_values(monkeypatch, check_id, name, want):
+    # the driver looks msp functions up when it calls them, so a patched
+    # transform is what gets compared
+    real = getattr(msp, name)
+
+    def off_by_one(n, k, cache=None):
+        got = real(n, k, cache)
+        return got + 1 if (n, k) == (3, 2) else got
+
+    monkeypatch.setattr(msp, name, off_by_one)
+    result = verify.run_suite(5, selection=[check_id])[0]
+    assert not result.passed
+    assert result.counterexample == want
