@@ -14,8 +14,9 @@ cached by the single core `family(kind, n, k, cache)`:
 inside the triangle are memoised under (kind, n, k) in an append-only
 MspCache; a cache of None means the process-wide _DEFAULT_CACHE.
 
-The public generators check their range (k >= 0 for B and Bt, where
-B_{0,0} = 1 and B_{n,0} = 0; k >= 1 otherwise) and call `family`.
+The public generators check that n and k are ints in range (k >= 0 for
+B and Bt, where B_{0,0} = 1 and B_{n,0} = 0; k >= 1 otherwise), with the
+one range check of the stirling module, and call `family`.
 `generate` dispatches through the registry of public generators that KINDS
 lists; its sixth kind, Bn, is the complete Bell polynomial, summed from the
 cached B members and not cached itself.
@@ -32,7 +33,7 @@ from math import comb
 
 from .poly import LaurentX1, MPoly
 from .ptypes import order_fn, partition_types, stirling_fn, subset_fn
-from .stirling import schloemilch_ladder
+from .stirling import _check_triangle, schloemilch_ladder
 
 CacheValue = MPoly | LaurentX1
 
@@ -56,22 +57,13 @@ class MspCache:
 _DEFAULT_CACHE = MspCache()
 
 
-def _cache(cache: MspCache | None) -> MspCache:
-    return _DEFAULT_CACHE if cache is None else cache
-
-
-def _check_triangle(n: int, k: int, k_min: int = 1):
-    if k < k_min or n < k:
-        raise ValueError(f"indices out of range: need {k_min} <= k <= n, got ({n},{k})")
-
-
 def family(kind: str, n: int, k: int, cache: MspCache | None = None) -> CacheValue:
     """Member (n, k) of the explicit family `kind` (S, B, Bt, L or A),
     extended by zero outside 1 <= k <= n with the (0,0) member equal to 1."""
     if not 1 <= k <= n:
         value = MPoly.const(1) if n == k == 0 else MPoly.zero()
         return LaurentX1.from_poly(value) if kind == "A" else value
-    c = _DEFAULT_CACHE if cache is None else cache  # _cache, inlined on the hit path
+    c = _DEFAULT_CACHE if cache is None else cache
     hit = c.get(kind, n, k)
     if hit is not None:
         return hit
@@ -95,7 +87,7 @@ def _recursive(kind: str, n: int, k: int, cache: MspCache | None, seed: MPoly, s
     step(m, P_{m-1,kk}, P_{m-1,kk-1}, sum_j X_{j+1} * dP_{m-1,kk}/dX_j),
     reading members outside the triangle as zero.
     """
-    c = _cache(cache)
+    c = _DEFAULT_CACHE if cache is None else cache
     zero = MPoly.zero()
     for m in range(1, n + 1):
         for kk in range(1, m + 1):
@@ -141,8 +133,7 @@ def complete_bell(n: int, cache: MspCache | None = None) -> MPoly:
     """Complete Bell polynomial, the sum of B_{n,k} over k = 1..n."""
     if n < 1:
         raise ValueError("complete Bell polynomials start at n = 1")
-    c = _cache(cache)
-    return sum((family("B", n, k, c) for k in range(1, n + 1)), MPoly.zero())
+    return sum((family("B", n, k, cache) for k in range(1, n + 1)), MPoly.zero())
 
 
 def assoc_bell(n: int, k: int, cache: MspCache | None = None) -> MPoly:
@@ -189,10 +180,9 @@ def stirling_first_from_assoc(n: int, k: int, cache: MspCache | None = None) -> 
     sum_{r=k-1}^{n-1} (-1)^(n-1-r) C(2n-2-r, k-1) X1^r Bt_{2n-1-k-r, n-1-r}.
     """
     _check_triangle(n, k)
-    c = _cache(cache)
     total = MPoly.zero()
     for r, lead, _ in schloemilch_ladder(n, k):
-        part = family("Bt", 2 * n - 1 - k - r, n - 1 - r, c)
+        part = family("Bt", 2 * n - 1 - k - r, n - 1 - r, cache)
         if not part.is_zero:
             total = total + part.shift_x1(r) * lead
     return total
@@ -217,10 +207,9 @@ def first_from_second_schloemilch(
     sum_r (-1)^(n-1-r) C(2n-2-r,k-1) C(2n-k,r+1-k) X1^(r-2n+1) B_{2n-1-k-r,n-1-r}.
     """
     _check_triangle(n, k)
-    c = _cache(cache)
     total = MPoly.zero()
     for r, lead, tail in schloemilch_ladder(n, k):
-        part = family("B", 2 * n - 1 - k - r, n - 1 - r, c)
+        part = family("B", 2 * n - 1 - k - r, n - 1 - r, cache)
         if not part.is_zero:
             total = total + part.shift_x1(r) * (lead * tail)
     return LaurentX1(total, 2 * n - 1)
@@ -230,10 +219,9 @@ def second_from_first(n: int, k: int, cache: MspCache | None = None) -> MPoly:
     """The reverse Schloemilch-type expansion, rebuilding B_{n,k} from the
     Laurent first-kind family; the X1 denominators must cancel exactly."""
     _check_triangle(n, k)
-    c = _cache(cache)
     total = LaurentX1.zero()
     for r, lead, tail in schloemilch_ladder(n, k):
-        part = family("A", 2 * n - 1 - k - r, n - 1 - r, c)
+        part = family("A", 2 * n - 1 - k - r, n - 1 - r, cache)
         if not part.is_zero:
             total = total + part * MPoly.monomial(lead * tail, (2 * n - 1 - r,))
     return total.to_poly()
@@ -247,9 +235,8 @@ def compose_transform(n: int, k: int, cache: MspCache | None = None) -> MPoly:
     _check_triangle(n, k)
     if k == 1:
         raise ValueError("vacuous identity: the k=1 case does not recurse")
-    c = _cache(cache)
-    subs = [stirling_first_explicit(j, 1, c) for j in range(1, n - k + 2)]
-    return bell_explicit(n, k, c).substitute(subs).shift_x1(k - 1)
+    subs = [stirling_first_explicit(j, 1, cache) for j in range(1, n - k + 2)]
+    return bell_explicit(n, k, cache).substitute(subs).shift_x1(k - 1)
 
 
 def compose_transform_second(
@@ -258,9 +245,8 @@ def compose_transform_second(
     """X1^(2k-n) * S_{n,k}(S_{1,1}, ..., S_{n-k+1,1}), which equals B_{n,k}
     (a Laurent identity when 2k < n)."""
     _check_triangle(n, k)
-    c = _cache(cache)
-    subs = [stirling_first_explicit(j, 1, c) for j in range(1, n - k + 2)]
-    inner = stirling_first_explicit(n, k, c).substitute(subs)
+    subs = [stirling_first_explicit(j, 1, cache) for j in range(1, n - k + 2)]
+    inner = stirling_first_explicit(n, k, cache).substitute(subs)
     if 2 * k >= n:
         return LaurentX1.from_poly(inner.shift_x1(2 * k - n))
     return LaurentX1(inner, n - 2 * k)
@@ -276,11 +262,10 @@ def convolution_recurrence(
     kind "Bt": sum_{j>=2} C(n-1,j-1) X_j Bt_{n-j,k-1}
     """
     _check_triangle(n, k)
-    c = _cache(cache)
     if kind in ("B", "Bt"):
         total = MPoly.zero()
         for j in range(1 if kind == "B" else 2, n - k + 2):
-            part = family(kind, n - j, k - 1, c)
+            part = family(kind, n - j, k - 1, cache)
             if not part.is_zero:
                 total = total + MPoly.var(j) * part * comb(n - 1, j - 1)
         return total
@@ -289,19 +274,19 @@ def convolution_recurrence(
             raise ValueError("the first-kind convolution needs column 1 as input")
         total = MPoly.zero()
         for j in range(1, n - k + 2):
-            left = family("S", j, 1, c)
-            right = family("S", n - j, k - 1, c)
+            left = family("S", j, 1, cache)
+            right = family("S", n - j, k - 1, cache)
             if not left.is_zero and not right.is_zero:
                 total = total + left * right * comb(n - 1, j - 1)
         return MPoly.var(1) * total
     raise ValueError(f"unknown convolution kind {kind!r} (expected B, S or Bt)")
 
 
-def _binomial_x1_sum(kind: str, sign: int, n: int, k: int, c: MspCache) -> MPoly:
+def _binomial_x1_sum(kind: str, sign: int, n: int, k: int, cache: MspCache | None) -> MPoly:
     """sum_{r=0}^{k} sign^r C(n,r) X1^r P_{n-r,k-r} over the family `kind`."""
     total = MPoly.zero()
     for r in range(k + 1):
-        part = family(kind, n - r, k - r, c)
+        part = family(kind, n - r, k - r, cache)
         if not part.is_zero:
             total = total + part.shift_x1(r) * (sign**r * comb(n, r))
     return total
@@ -311,14 +296,14 @@ def cor45_expand(n: int, k: int, cache: MspCache | None = None) -> MPoly:
     """Rebuild B_{n,k} from the associated family:
     sum_{r=0}^{k} C(n,r) X1^r Bt_{n-r,k-r}."""
     _check_triangle(n, k)
-    return _binomial_x1_sum("Bt", 1, n, k, _cache(cache))
+    return _binomial_x1_sum("Bt", 1, n, k, cache)
 
 
 def eq68_invert(n: int, k: int, cache: MspCache | None = None) -> MPoly:
     """Rebuild Bt_{n,k} from the plain Bell family by binomial inversion:
     sum_{r=0}^{k} (-1)^r C(n,r) X1^r B_{n-r,k-r}."""
     _check_triangle(n, k)
-    return _binomial_x1_sum("B", -1, n, k, _cache(cache))
+    return _binomial_x1_sum("B", -1, n, k, cache)
 
 
 def snk1_nested(n: int, cache: MspCache | None = None) -> MPoly:
@@ -330,7 +315,6 @@ def snk1_nested(n: int, cache: MspCache | None = None) -> MPoly:
     """
     if n < 2:
         raise ValueError("the nested sum starts at n = 2")
-    c = _cache(cache)
     total = LaurentX1.zero()
     indices = range(2, n)
     for r in range(0, n - 1):
@@ -338,7 +322,7 @@ def snk1_nested(n: int, cache: MspCache | None = None) -> MPoly:
             ladder = (1,) + chain + (n,)
             prod = MPoly.const(1)
             for lo, hi in zip(ladder, ladder[1:]):
-                prod = prod * bell_explicit(hi, lo, c)
+                prod = prod * bell_explicit(hi, lo, cache)
             sign = -1 if r % 2 == 0 else 1
             shift = (n - 2) - sum(chain)
             term = LaurentX1(prod * sign, -shift if shift < 0 else 0)

@@ -104,8 +104,8 @@ class MPoly:
     @classmethod
     def var(cls, j: int) -> MPoly:
         """The indeterminate X_j (1-based)."""
-        if j < 1:
-            raise ValueError("indeterminate index must be >= 1")
+        if type(j) is not int or j < 1:
+            raise ValueError(f"indeterminate index must be an int >= 1, got {j!r}")
         return _raw({(0,) * (j - 1) + (1,): 1})
 
     @classmethod
@@ -129,6 +129,9 @@ class MPoly:
         return sorted(self._terms.items(), key=lambda kv: _grlex_key(kv[0]))
 
     def coefficient(self, exps: Iterable[int]) -> int:
+        exps = tuple(exps)
+        if not _INT.issuperset(map(type, exps)):
+            raise ValueError(f"exponent in {exps!r} is not an int")
         return self._terms.get(_trim(exps), 0)
 
     def width(self) -> int:
@@ -222,8 +225,8 @@ class MPoly:
 
     def partial_derivative(self, j: int) -> MPoly:
         """Formal partial derivative with respect to X_j (1-based)."""
-        if j < 1:
-            raise ValueError("indeterminate index must be >= 1")
+        if type(j) is not int or j < 1:
+            raise ValueError(f"indeterminate index must be an int >= 1, got {j!r}")
         i = j - 1
         out: dict[Exponents, int] = {}
         for exps, coeff in self._terms.items():
@@ -302,6 +305,8 @@ class MPoly:
 
     def shift_x1(self, m: int) -> MPoly:
         """Multiply by X1^m; m may be negative if every term allows it."""
+        if type(m) is not int:
+            raise ValueError(f"X1 shift {m!r} is not an int")
         if m == 0:
             return self
         out: dict[Exponents, int] = {}

@@ -134,10 +134,17 @@ def bell_numbers(nmax: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def _check_triangle(n: int, k: int, k_min: int = 1) -> None:
+    """Raise ValueError unless n and k are ints, not bools, with k_min <= k <= n."""
+    if type(n) is not int or type(k) is not int:
+        raise ValueError(f"indices must be ints, got ({n!r},{k!r})")
+    if not k_min <= k <= n:
+        raise ValueError(f"indices out of range: need {k_min} <= k <= n, got ({n},{k})")
+
+
 def s2_bertrand(n: int, k: int) -> int:
     """s2(n,k) = (1/k!) sum_j (-1)^(k-j) C(k,j) j^n."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got ({n},{k})")
+    _check_triangle(n, k)
     total = sum((-1) ** (k - j) * comb(k, j) * j**n for j in range(1, k + 1))
     q, rem = divmod(total, factorial(k))
     if rem:
@@ -163,8 +170,7 @@ def s1_schloemilch_terms(
 ) -> list[tuple[int, int]]:
     """Nonzero terms of Schloemilch's formula for s1(n,k), each as a pair
     (signed C(2n-2-r,k-1), C(2n-k,r+1-k) * s2(2n-1-k-r, n-1-r))."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got ({n},{k})")
+    _check_triangle(n, k)
     if s2 is None:
         s2 = s2_table(2 * n)
     terms = [
@@ -185,8 +191,7 @@ def s1_via_assoc_terms(
 ) -> list[tuple[int, int]]:
     """Nonzero terms of the associated-number variant, each as a pair
     (signed C(2n-2-r,k-1), assoc(2n-1-k-r, n-1-r))."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got ({n},{k})")
+    _check_triangle(n, k)
     if assoc is None:
         assoc = assoc_s2_table(2 * n)
     terms = [
@@ -208,8 +213,7 @@ def s2_via_cycle(n: int, k: int) -> int:
     The binomial ratio is not termwise integral, so the partial sums are
     exact rationals; the total must come out an integer.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got ({n},{k})")
+    _check_triangle(n, k)
     total = Fraction(0)
     top = comb(2 * n - 2, k - 1)
     for pt in partition_types(2 * n - 1 - k, n - 1):

@@ -7,10 +7,13 @@ checks are far more expensive per step than integer-table checks).
 Random-input checks draw from a generator seeded with (seed, check id), so
 two runs with the same seed produce byte-identical reports.
 
-Most checks assert that two computations agree on every cell of the
-triangle 1 <= k <= n <= depth.  Those register through `_identity`: each
-supplies only its labelled (k_min, lhs, rhs) triples, and one driver walks
-the cells and names the first mismatch by label, cell and both values.
+All 31 checks follow one protocol: a check is a generator of (where, got,
+want) comparisons, most of them over the cells 1 <= k <= n <= depth, and
+a predicate yields (where, ok, True).  The driver, `run_suite`, stops at
+the first comparison with got != want and reports it as
+"where: got != want".  Each side is computed as the check runs, through
+the msp, stirling and series modules, so wrappers installed on those
+modules (a tracer) see every call.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-from typing import Callable, NamedTuple
+from math import comb, factorial, prod
+from typing import Callable, Iterator, NamedTuple
 
 from . import msp, series, stirling
 from .poly import LaurentX1, MPoly, parse_poly
@@ -92,52 +95,22 @@ class CheckResult:
 
 
 class _Check(NamedTuple):
-    """A registered check: fn(depth, rng, cache) returns a counterexample
-    string, or None when it passes; `params` is formatted with d = depth."""
+    """A registered check: fn(depth, rng, cache) yields (where, got, want)
+    comparisons; `params` is formatted with d = depth."""
 
     check_id: str
     cap: int
     params: str
-    fn: Callable[[int, random.Random, msp.MspCache], str | None]
+    fn: Callable[[int, random.Random, msp.MspCache], Iterator[tuple[str, object, object]]]
 
 
 _REGISTRY: list[_Check] = []
 
 
-def _check(check_id: str, cap: int, params: str):
+def _check(check_id: str, cap: int, params: str = "1<=k<=n<={d}"):
     def wrap(fn):
         _REGISTRY.append(_Check(check_id, cap, params, fn))
         return fn
-
-    return wrap
-
-
-def _identity(check_id: str, cap: int):
-    """Register a check of lhs(n, k) == rhs(n, k) on the triangle.
-
-    The decorated build(depth, cache) makes any per-depth tables and returns
-    {label: (k_min, lhs, rhs)}.  The driver walks the cells 1 <= k <= n <=
-    depth row by row, compares every entry with k >= k_min at each cell, and
-    reports the first mismatch by its label, cell and both values.  The
-    callables look msp.* and stirling.* up when called, not capture them, so
-    that wrappers installed on those modules (a tracer) see every call.
-    """
-
-    def wrap(build):
-        def run(depth, rng, cache):
-            identities = build(depth, cache)
-            for n in range(1, depth + 1):
-                for k in range(1, n + 1):
-                    for label, (k_min, lhs, rhs) in identities.items():
-                        if k < k_min:
-                            continue
-                        a, b = lhs(n, k), rhs(n, k)
-                        if a != b:
-                            return f"{label} at ({n},{k}): {a} != {b}"
-            return None
-
-        _check(check_id, cap, "1<=k<=n<={d}")(run)
-        return build
 
     return wrap
 
@@ -146,8 +119,9 @@ def check_ids() -> list[str]:
     return [check.check_id for check in _REGISTRY]
 
 
-def _delta(n: int, k: int) -> LaurentX1:
-    return LaurentX1.one() if n == k else LaurentX1.zero()
+def _cells(depth: int) -> Iterator[tuple[int, int]]:
+    """The triangle 1 <= k <= n <= depth, row by row."""
+    return ((n, k) for n in range(1, depth + 1) for k in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -155,196 +129,168 @@ def _delta(n: int, k: int) -> LaurentX1:
 # ---------------------------------------------------------------------------
 
 
-@_check("table1-golden", 6, "1<=k<=n<={d}")
+@_check("table1-golden", 6)
 def _table1(depth, rng, cache):
     for (n, k), text in GOLDEN_FIRST_KIND.items():
-        if n > depth:
-            continue
-        got = msp.stirling_first_explicit(n, k, cache)
-        if got != parse_poly(text):
-            return f"(S,{n},{k}): generated {got} != table {text}"
+        if n <= depth:
+            yield f"(S,{n},{k})", msp.stirling_first_explicit(n, k, cache), parse_poly(text)
     for (n, k), text in GOLDEN_SECOND_KIND.items():
-        if n > depth:
-            continue
-        got = msp.bell_explicit(n, k, cache)
-        if got != parse_poly(text):
-            return f"(B,{n},{k}): generated {got} != table {text}"
-    return None
+        if n <= depth:
+            yield f"(B,{n},{k})", msp.bell_explicit(n, k, cache), parse_poly(text)
 
 
-@_check("thm5.1-inversion", 10, "1<=k<=n<={d}")
+@_check("thm5.1-inversion", 10)
 def _inversion_law(depth, rng, cache):
-    for n in range(1, depth + 1):
-        for k in range(1, n + 1):
-            want = _delta(n, k)
-            lhs = LaurentX1.zero()
-            rhs = LaurentX1.zero()
-            for j in range(k, n + 1):
-                lhs = lhs + msp.lie_first(n, j, cache) * msp.bell_explicit(j, k, cache)
-                rhs = rhs + msp.lie_first(j, k, cache) * msp.bell_explicit(n, j, cache)
-            if lhs != want:
-                return f"sum_j A[{n},j]B[j,{k}] = {lhs} != delta"
-            if rhs != want:
-                return f"sum_j B[{n},j]A[j,{k}] = {rhs} != delta"
-    return None
+    for n, k in _cells(depth):
+        want = LaurentX1.one() if n == k else LaurentX1.zero()
+        lhs = rhs = LaurentX1.zero()
+        for j in range(k, n + 1):
+            lhs = lhs + msp.lie_first(n, j, cache) * msp.bell_explicit(j, k, cache)
+            rhs = rhs + msp.lie_first(j, k, cache) * msp.bell_explicit(n, j, cache)
+        yield f"sum_j A[{n},j]B[j,{k}]", lhs, want
+        yield f"sum_j B[{n},j]A[j,{k}]", rhs, want
 
 
-@_identity("crosspath-bell", 12)
-def _crosspath_bell(depth, cache):
-    return {"B": (1, lambda n, k: msp.bell_explicit(n, k, cache),
-                  lambda n, k: msp.bell_recursive(n, k, cache))}
+@_check("crosspath-bell", 12)
+def _crosspath_bell(depth, rng, cache):
+    for n, k in _cells(depth):
+        yield (f"B at ({n},{k})", msp.bell_explicit(n, k, cache),
+               msp.bell_recursive(n, k, cache))
 
 
-@_identity("crosspath-stirling", 12)
-def _crosspath_stirling(depth, cache):
-    return {"S": (1, lambda n, k: msp.stirling_first_explicit(n, k, cache),
-                  lambda n, k: msp.stirling_first_recursive(n, k, cache))}
+@_check("crosspath-stirling", 12)
+def _crosspath_stirling(depth, rng, cache):
+    for n, k in _cells(depth):
+        yield (f"S at ({n},{k})", msp.stirling_first_explicit(n, k, cache),
+               msp.stirling_first_recursive(n, k, cache))
 
 
-@_identity("thm6.1-assoc-expansion", 12)
-def _thm61(depth, cache):
-    return {"S": (1, lambda n, k: msp.stirling_first_explicit(n, k, cache),
-                  lambda n, k: msp.stirling_first_from_assoc(n, k, cache))}
+@_check("thm6.1-assoc-expansion", 12)
+def _thm61(depth, rng, cache):
+    for n, k in _cells(depth):
+        yield (f"S at ({n},{k})", msp.stirling_first_explicit(n, k, cache),
+               msp.stirling_first_from_assoc(n, k, cache))
 
 
-@_identity("cor5.4-compose", 9)
-def _compose(depth, cache):
-    return {
-        "(i)": (2, lambda n, k: msp.compose_transform(n, k, cache),
-                lambda n, k: msp.stirling_first_explicit(n, k, cache)),
-        "(ii)": (1, lambda n, k: msp.compose_transform_second(n, k, cache),
-                 lambda n, k: msp.bell_explicit(n, k, cache)),
-    }
+@_check("cor5.4-compose", 9)
+def _compose(depth, rng, cache):
+    for n, k in _cells(depth):
+        if k >= 2:
+            yield (f"(i) at ({n},{k})", msp.compose_transform(n, k, cache),
+                   msp.stirling_first_explicit(n, k, cache))
+        yield (f"(ii) at ({n},{k})", msp.compose_transform_second(n, k, cache),
+               msp.bell_explicit(n, k, cache))
 
 
-@_identity("prop5.5-convolution", 10)
-def _convolution(depth, cache):
-    return {
-        "B": (1, lambda n, k: msp.convolution_recurrence(n, k, "B", cache),
-              lambda n, k: msp.bell_explicit(n, k, cache)),
-        "Bt": (1, lambda n, k: msp.convolution_recurrence(n, k, "Bt", cache),
-               lambda n, k: msp.assoc_bell(n, k, cache)),
-        "S": (2, lambda n, k: msp.convolution_recurrence(n, k, "S", cache),
-              lambda n, k: msp.stirling_first_explicit(n, k, cache)),
-    }
+@_check("prop5.5-convolution", 10)
+def _convolution(depth, rng, cache):
+    for n, k in _cells(depth):
+        yield (f"B at ({n},{k})", msp.convolution_recurrence(n, k, "B", cache),
+               msp.bell_explicit(n, k, cache))
+        yield (f"Bt at ({n},{k})", msp.convolution_recurrence(n, k, "Bt", cache),
+               msp.assoc_bell(n, k, cache))
+        if k >= 2:
+            yield (f"S at ({n},{k})", msp.convolution_recurrence(n, k, "S", cache),
+                   msp.stirling_first_explicit(n, k, cache))
 
 
 @_check("cor4.4-derivative", 12, "1<=k<=n<={d}, 1<=j<=n-k+1")
 def _derivative_law(depth, rng, cache):
-    for n in range(1, depth + 1):
-        for k in range(1, n + 1):
-            b = msp.bell_explicit(n, k, cache)
-            for j in range(1, n - k + 2):
-                want = msp.bell_explicit(n - j, k - 1, cache) * comb(n, j)
-                if b.partial_derivative(j) != want:
-                    return f"dB[{n},{k}]/dX{j} != C({n},{j})B[{n - j},{k - 1}]"
-    return None
+    for n, k in _cells(depth):
+        b = msp.bell_explicit(n, k, cache)
+        for j in range(1, n - k + 2):
+            want = msp.bell_explicit(n - j, k - 1, cache) * comb(n, j)
+            where = f"dB[{n},{k}]/dX{j} = C({n},{j})B[{n - j},{k - 1}]"
+            yield where, b.partial_derivative(j), want
 
 
-@_identity("cor4.5-expansion", 12)
-def _cor45(depth, cache):
-    return {"B": (1, lambda n, k: msp.cor45_expand(n, k, cache),
-                  lambda n, k: msp.bell_explicit(n, k, cache))}
+@_check("cor4.5-expansion", 12)
+def _cor45(depth, rng, cache):
+    for n, k in _cells(depth):
+        yield (f"B at ({n},{k})", msp.cor45_expand(n, k, cache),
+               msp.bell_explicit(n, k, cache))
 
 
-@_identity("eq6.8-inversion", 12)
-def _eq68(depth, cache):
-    return {"Bt": (1, lambda n, k: msp.eq68_invert(n, k, cache),
-                   lambda n, k: msp.assoc_bell(n, k, cache))}
+@_check("eq6.8-inversion", 12)
+def _eq68(depth, rng, cache):
+    for n, k in _cells(depth):
+        yield f"Bt at ({n},{k})", msp.eq68_invert(n, k, cache), msp.assoc_bell(n, k, cache)
 
 
 @_check("eq6.1-nested", 8, "2<=n<={d}")
 def _eq61(depth, rng, cache):
     for n in range(2, depth + 1):
-        got = msp.snk1_nested(n, cache)
-        want = msp.stirling_first_explicit(n, 1, cache)
-        if got != want:
-            return f"n={n}: nested sum {got} != {want}"
-    return None
+        yield (f"nested sum at n={n}", msp.snk1_nested(n, cache),
+               msp.stirling_first_explicit(n, 1, cache))
 
 
-@_identity("thm6.4-schloemilch-poly", 9)
-def _thm64(depth, cache):
-    return {
-        "(i)": (1, lambda n, k: msp.first_from_second_schloemilch(n, k, cache),
-                lambda n, k: msp.lie_first(n, k, cache)),
-        "(ii)": (1, lambda n, k: msp.second_from_first(n, k, cache),
-                 lambda n, k: msp.bell_explicit(n, k, cache)),
-    }
+@_check("thm6.4-schloemilch-poly", 9)
+def _thm64(depth, rng, cache):
+    for n, k in _cells(depth):
+        yield (f"(i) at ({n},{k})", msp.first_from_second_schloemilch(n, k, cache),
+               msp.lie_first(n, k, cache))
+        yield (f"(ii) at ({n},{k})", msp.second_from_first(n, k, cache),
+               msp.bell_explicit(n, k, cache))
 
 
 @_check("cor6.3-type-identity", 12, "1<=k<=n<={d}, all types")
 def _cor63(depth, rng, cache):
-    for n in range(1, depth + 1):
-        for k in range(1, n + 1):
-            for pt in partition_types(2 * n - 1 - k, n - 1):
-                r1 = pt.r[0] if pt.r else 0
-                lhs = comb(2 * n - 1 - k, r1) * stirling_fn(pt)
-                sign = 1 if (n - 1 - r1) % 2 == 0 else -1
-                rhs = sign * comb(2 * n - 2 - r1, k - 1) * subset_fn(pt)
-                if lhs != rhs:
-                    return f"({n},{k}) type {pt}: {lhs} != {rhs}"
-    return None
+    # one comparison per cell, which holds up to hundreds of types: too many to label
+    for n, k in _cells(depth):
+        lhs, rhs = [], []
+        for pt in partition_types(2 * n - 1 - k, n - 1):
+            r1 = pt.r[0] if pt.r else 0
+            lhs.append(comb(2 * n - 1 - k, r1) * stirling_fn(pt))
+            sign = 1 if (n - 1 - r1) % 2 == 0 else -1
+            rhs.append(sign * comb(2 * n - 2 - r1, k - 1) * subset_fn(pt))
+        yield f"({n},{k}) over the types of P({2 * n - 1 - k},{n - 1})", lhs, rhs
 
 
-@_identity("prop3.7-coefficient-sums", 15)
-def _coefficient_sums(depth, cache):
+@_check("prop3.7-coefficient-sums", 15)
+def _coefficient_sums(depth, rng, cache):
     ones = [1] * depth
-    return {
-        "S": (1, lambda n, k: msp.stirling_first_explicit(n, k, cache).eval_rat(ones),
-              stirling.s1_table(depth).value),
-        "B": (1, lambda n, k: msp.bell_explicit(n, k, cache).eval_rat(ones),
-              stirling.s2_table(depth).value),
-    }
+    s1, s2 = stirling.s1_table(depth), stirling.s2_table(depth)
+    for n, k in _cells(depth):
+        yield (f"S at ({n},{k})", msp.stirling_first_explicit(n, k, cache).eval_rat(ones),
+               s1.value(n, k))
+        yield (f"B at ({n},{k})", msp.bell_explicit(n, k, cache).eval_rat(ones),
+               s2.value(n, k))
 
 
-@_check("rem3.4-degrees", 12, "1<=k<=n<={d}")
+@_check("rem3.4-degrees", 12)
 def _degrees(depth, rng, cache):
-    for n in range(1, depth + 1):
-        for k in range(1, n + 1):
-            s = msp.stirling_first_explicit(n, k, cache)
-            b = msp.bell_explicit(n, k, cache)
-            if s.homogeneous_degree() != n - 1 or s.isobaric_degree() != 2 * n - 1 - k:
-                return f"S[{n},{k}] degrees {s.homogeneous_degree()}/{s.isobaric_degree()}"
-            if b.homogeneous_degree() != k or b.isobaric_degree() != n:
-                return f"B[{n},{k}] degrees {b.homogeneous_degree()}/{b.isobaric_degree()}"
-    return None
+    for n, k in _cells(depth):
+        s = msp.stirling_first_explicit(n, k, cache)
+        b = msp.bell_explicit(n, k, cache)
+        yield (f"S[{n},{k}] degrees", (s.homogeneous_degree(), s.isobaric_degree()),
+               (n - 1, 2 * n - 1 - k))
+        yield f"B[{n},{k}] degrees", (b.homogeneous_degree(), b.isobaric_degree()), (k, n)
 
 
-@_check("rem5.4-x1-bounds", 12, "1<=k<=n<={d}")
+@_check("rem5.4-x1-bounds", 12)
 def _x1_bounds(depth, rng, cache):
-    for n in range(1, depth + 1):
-        for k in range(1, n + 1):
-            s_min = msp.stirling_first_explicit(n, k, cache).min_x1_power()
-            if s_min < k - 1:
-                return f"S[{n},{k}] has a term with X1 power {s_min} < {k - 1}"
-            b_min = msp.bell_explicit(n, k, cache).min_x1_power()
-            if b_min < max(0, 2 * k - n):
-                return f"B[{n},{k}] has a term with X1 power {b_min} < {2 * k - n}"
-    return None
+    for n, k in _cells(depth):
+        s_min = msp.stirling_first_explicit(n, k, cache).min_x1_power()
+        yield f"S[{n},{k}] lowest X1 power {s_min} >= {k - 1}", s_min >= k - 1, True
+        b_min = msp.bell_explicit(n, k, cache).min_x1_power()
+        yield f"B[{n},{k}] lowest X1 power {b_min} >= {2 * k - n}", b_min >= 2 * k - n, True
 
 
 @_check("rem5.7-associated-values", 8, "1<=n<={d}")
 def _assoc_values(depth, rng, cache):
     for n in range(1, depth + 1):
-        odd_ff = 1
-        for i in range(1, 2 * n, 2):
-            odd_ff *= i
-        want = MPoly.monomial(odd_ff, (0, n))
-        got = msp.assoc_bell(2 * n, n, cache)
-        if got != want:
-            return f"Bt[{2 * n},{n}] = {got} != {want}"
+        want = MPoly.monomial(prod(range(1, 2 * n, 2)), (0, n))
+        yield f"Bt[{2 * n},{n}]", msp.assoc_bell(2 * n, n, cache), want
         for ell in range(1, n):
-            if not msp.assoc_bell(2 * n - ell, n, cache).is_zero:
-                return f"Bt[{2 * n - ell},{n}] != 0"
-    return None
+            yield f"Bt[{2 * n - ell},{n}]", msp.assoc_bell(2 * n - ell, n, cache), 0
 
 
-@_identity("cor4.6-lah-substitution", 10)
-def _lah_substitution(depth, cache):
+@_check("cor4.6-lah-substitution", 10)
+def _lah_substitution(depth, rng, cache):
     subs = [MPoly.var(j) * factorial(j) for j in range(1, depth + 1)]
-    return {"L": (1, lambda n, k: msp.lah_poly(n, k, cache),
-                  lambda n, k: msp.bell_explicit(n, k, cache).substitute(subs))}
+    for n, k in _cells(depth):
+        yield (f"L at ({n},{k})", msp.lah_poly(n, k, cache),
+               msp.bell_explicit(n, k, cache).substitute(subs))
 
 
 # ---------------------------------------------------------------------------
@@ -352,51 +298,49 @@ def _lah_substitution(depth, cache):
 # ---------------------------------------------------------------------------
 
 
-@_identity("eq6.7-cycle-formula", 12)
-def _eq67(depth, cache):
-    return {"s2": (1, lambda n, k: stirling.s2_via_cycle(n, k),
-                   stirling.s2_table(depth).value)}
+@_check("eq6.7-cycle-formula", 12)
+def _eq67(depth, rng, cache):
+    s2 = stirling.s2_table(depth)
+    for n, k in _cells(depth):
+        yield f"s2 at ({n},{k})", stirling.s2_via_cycle(n, k), s2.value(n, k)
 
 
-@_identity("eq6.9-schloemilch-numbers", 15)
-def _eq69(depth, cache):
+@_check("eq6.9-schloemilch-numbers", 15)
+def _eq69(depth, rng, cache):
     s2 = stirling.s2_table(2 * depth)
-    return {"s1": (1, lambda n, k: stirling.s1_schloemilch(n, k, s2),
-                   stirling.s1_table(depth).value)}
+    s1 = stirling.s1_table(depth)
+    for n, k in _cells(depth):
+        yield f"s1 at ({n},{k})", stirling.s1_schloemilch(n, k, s2), s1.value(n, k)
 
 
-@_identity("eq6.10-assoc-numbers", 15)
-def _eq610(depth, cache):
+@_check("eq6.10-assoc-numbers", 15)
+def _eq610(depth, rng, cache):
     assoc = stirling.assoc_s2_table(2 * depth)
-    return {"s1": (1, lambda n, k: stirling.s1_via_assoc(n, k, assoc),
-                   stirling.s1_table(depth).value)}
+    s1 = stirling.s1_table(depth)
+    for n, k in _cells(depth):
+        yield f"s1 at ({n},{k})", stirling.s1_via_assoc(n, k, assoc), s1.value(n, k)
 
 
-@_identity("rem4.1-bertrand", 15)
-def _bertrand(depth, cache):
-    return {"s2": (1, lambda n, k: stirling.s2_bertrand(n, k),
-                   stirling.s2_table(depth).value)}
+@_check("rem4.1-bertrand", 15)
+def _bertrand(depth, rng, cache):
+    s2 = stirling.s2_table(depth)
+    for n, k in _cells(depth):
+        yield f"s2 at ({n},{k})", stirling.s2_bertrand(n, k), s2.value(n, k)
 
 
 @_check("ex5.2-orthogonality", 15, "n<={d}")
 def _orthogonality(depth, rng, cache):
-    if not stirling.stirling_orthogonality_check(depth):
-        return "s1*s2 product is not the identity"
-    return None
+    yield "s1*s2 = identity", stirling.stirling_orthogonality_check(depth), True
 
 
 @_check("ex5.2-lah-self-inverse", 15, "n<={d}")
 def _lah_inverse(depth, rng, cache):
-    if not stirling.lah_self_inverse_check(depth):
-        return "signed Lah table is not self-inverse"
-    return None
+    yield "signed Lah table is self-inverse", stirling.lah_self_inverse_check(depth), True
 
 
 @_check("ex5.8-summation-identities", 12, "n<={d}")
 def _ex58(depth, rng, cache):
-    if not stirling.example58_identities(depth):
-        return "cycle/subset summation identity fails"
-    return None
+    yield "cycle/subset summation identities", stirling.example58_identities(depth), True
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +389,7 @@ def _sequence_inversion(depth, rng, cache):
         acc = LaurentX1.zero()
         for k in range(n + 1):
             acc = acc + msp.family("A", n, k, cache) * p[k]
-        if acc != LaurentX1.from_poly(q[n]):
-            return f"n={n}: recovered {acc} != original {q[n]}"
-    return None
+        yield f"n={n}: recovered vs original", acc, LaurentX1.from_poly(q[n])
 
 
 @_check("sec7-revert-three-paths", 10, "30 random inputs, order<={d}")
@@ -457,29 +399,28 @@ def _three_paths(depth, rng, cache):
         a = series.revert_msp(f)
         b = series.revert_comtet(f, cache)
         c = series.revert_oracle(f)
-        if a != b or a != c:
-            return f"trial {trial}: f={list(f)} gives {list(a)} / {list(b)} / {list(c)}"
-    return None
+        where = f"trial {trial}: f={list(f)}"
+        yield f"{where}, Comtet vs MSP", list(b), list(a)
+        yield f"{where}, oracle vs MSP", list(c), list(a)
 
 
 @_check("prop7.1-involution", 8, "20 random inputs, order<={d}")
 def _involution(depth, rng, cache):
     for trial in range(20):
         f = _random_egf(rng, depth)
-        if series.revert_msp(series.revert_msp(f)) != f:
-            return f"trial {trial}: revert(revert(f)) != f for f={list(f)}"
-    return None
+        twice = series.revert_msp(series.revert_msp(f))
+        yield f"trial {trial}: revert(revert(f))", list(twice), list(f)
 
 
 @_check("sec7-compose-inverse", 8, "20 random inputs, order<={d}")
 def _compose_inverse(depth, rng, cache):
-    ident = series.identity_egf(depth)
+    ident = list(series.identity_egf(depth))
     for trial in range(20):
         f = _random_egf(rng, depth)
         g = series.revert_msp(f)
-        if series.egf_compose(f, g) != ident or series.egf_compose(g, f) != ident:
-            return f"trial {trial}: f(g(x)) != x for f={list(f)}"
-    return None
+        where = f"trial {trial}: f={list(f)}"
+        yield f"{where}, f(g(x))", list(series.egf_compose(f, g)), ident
+        yield f"{where}, g(f(x))", list(series.egf_compose(g, f)), ident
 
 
 @_check("sec7-named-series", 12, "n<={d}")
@@ -490,56 +431,45 @@ def _named_series(depth, rng, cache):
     )
     got = series.revert_msp(trees)
     for n in range(1, depth + 1):
-        if got.f(n) != n ** (n - 1):
-            return f"rooted trees: n={n} gives {got.f(n)} != {n ** (n - 1)}"
+        yield f"rooted trees at n={n}", got.f(n), n ** (n - 1)
     # the logarithm: inverse of the all-ones series
     ones = series.EgfCoeffs((Fraction(1),) * depth)
     got = series.revert_comtet(ones, cache)
     for n in range(1, depth + 1):
-        want = (-1) ** (n - 1) * factorial(n - 1)
-        if got.f(n) != want:
-            return f"logarithm: n={n} gives {got.f(n)} != {want}"
+        yield f"logarithm at n={n}", got.f(n), (-1) ** (n - 1) * factorial(n - 1)
     # total partitions: recurrence against all reversion paths
     tp = series.total_partitions_egf(depth)
     t = series.total_partitions_recurrence(depth)
     for path in (series.revert_msp, series.revert_oracle):
         got = path(tp)
         for n in range(1, depth + 1):
-            if got.f(n) != t[n - 1]:
-                return f"total partitions via {path.__name__}: n={n}"
+            yield f"total partitions via {path.__name__} at n={n}", got.f(n), t[n - 1]
     rows = series.total_partitions_triangle(depth)
     for n in range(1, depth + 1):
         row = rows[n]
-        if row[1] != 2 ** (n - 1) or row[n] != factorial(n):
-            return f"triangle row {n} boundary values wrong"
-        if n >= 2 and row[2] != 2 ** (n - 1) * (2**n - n - 1):
-            return f"triangle row {n}: b(n,2) wrong"
-    return None
+        yield f"triangle row {n}: b(n,1)", row[1], 2 ** (n - 1)
+        yield f"triangle row {n}: b(n,n)", row[n], factorial(n)
+        if n >= 2:
+            yield f"triangle row {n}: b(n,2)", row[2], 2 ** (n - 1) * (2**n - n - 1)
 
 
 @_check("prop7.3-rows", 10, "n<={d}")
 def _prop73(depth, rng, cache):
-    s1 = stirling.s1_table(depth)
-    s2 = stirling.s2_table(depth)
+    s1, s2 = stirling.s1_table(depth), stirling.s2_table(depth)
     ones = series.EgfCoeffs((Fraction(1),) * depth)
     for n, row in enumerate(series.exp_transform(ones), start=1):
         for k in range(n + 1):
-            if row.coefficient(k) != s2.value(n, k):
-                return f"forward row {n}: t^{k} coefficient != s2({n},{k})"
+            yield f"forward row {n}: t^{k} coefficient", row.coefficient(k), s2.value(n, k)
     inverse_rows = series.exp_transform_inverse(ones)
     for n, row in enumerate(inverse_rows, start=1):
         for k in range(n + 1):
-            if row.coefficient(k) != s1.value(n, k):
-                return f"inverse row {n}: t^{k} coefficient != s1({n},{k})"
+            yield f"inverse row {n}: t^{k} coefficient", row.coefficient(k), s1.value(n, k)
     # consistency of the two routes to the inverse rows
-    reverted = series.exp_transform(series.revert_msp(ones))
-    if reverted != inverse_rows:
-        return "exp transform of the inverse differs from the direct inverse rows"
+    yield ("exp transform of the inverse vs the direct inverse rows",
+           series.exp_transform(series.revert_msp(ones)), inverse_rows)
     bell = stirling.bell_numbers(depth)
     for n, row in enumerate(series.exp_transform(ones), start=1):
-        if row.evaluate(1) != bell[n]:
-            return f"row {n} at t=1 != Bell number {bell[n]}"
-    return None
+        yield f"row {n} at t=1 vs Bell number", row.evaluate(1), bell[n]
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +484,12 @@ def run_suite(
     cache: msp.MspCache | None = None,
 ) -> list[CheckResult]:
     """Run the selected checks (all by default) scaled to depth max_n."""
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
+    if type(max_n) is not int or max_n < 1:
+        raise ValueError(f"max_n must be an int >= 1, got {max_n!r}")
     known = check_ids()
     if selection is not None:
+        if isinstance(selection, str):
+            raise ValueError(f"selection must be a list of check ids, not {selection!r}")
         if not selection:
             raise ValueError(f"empty check selection; valid ids: {', '.join(known)}")
         bad = [cid for cid in selection if cid not in known]
@@ -574,7 +506,9 @@ def run_suite(
         depth = min(cap, max_n)
         rng = random.Random(f"{seed}:{check_id}")
         start = time.perf_counter()
-        counterexample = fn(depth, rng, cache)
+        failures = (f"{where}: {got} != {want}"
+                    for where, got, want in fn(depth, rng, cache) if got != want)
+        counterexample = next(failures, None)
         wall_ms = (time.perf_counter() - start) * 1000.0
         results.append(
             CheckResult(

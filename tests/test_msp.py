@@ -291,3 +291,11 @@ def test_recursive_reads_only_cells_inside_the_triangle():
     assert msp.bell_recursive(6, 3, cache) == msp.bell_explicit(6, 3)
     assert cache.keys
     assert all(1 <= k <= n for _, n, k in cache.keys), cache.keys
+
+
+@pytest.mark.parametrize("n, k", [(True, 1), (2, True), (3.0, 2), (3, 2.0)])
+def test_generators_reject_non_int_indices(n, k):
+    for generator in (msp.bell_explicit, msp.assoc_bell, msp.stirling_first_explicit,
+                      msp.lah_poly, msp.lie_first, msp.cor45_expand):
+        with pytest.raises(ValueError, match="indices must be ints"):
+            generator(n, k)

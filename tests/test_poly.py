@@ -414,3 +414,34 @@ def test_laurent_operators_defer_on_foreign_operands():
         one - Fraction(1, 2)
     assert one + X1 == X1 + one == LaurentX1.from_poly(X1 + 1)
     assert one * 3 == 3 * one == 3
+
+
+# ---------------------------------------------------------------------------
+# strict arguments: indices, exponents and X1 shifts must be ints, not bools
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("j", [True, 1.0, 2.5, "1"])
+def test_var_rejects_non_int_index(j):
+    with pytest.raises(ValueError, match="must be an int"):
+        MPoly.var(j)
+
+
+@pytest.mark.parametrize("exps", [(1.0, 2.0), (1, 2, 0.0), (True,), (1, False)])
+def test_coefficient_rejects_non_int_exponents(exps):
+    p = X1 * X2**2 + X1
+    with pytest.raises(ValueError, match="is not an int"):
+        p.coefficient(exps)
+    assert p.coefficient((1, 2, 0)) == 1
+
+
+@pytest.mark.parametrize("j", [True, 1.0, 2.5])
+def test_partial_derivative_rejects_non_int_index(j):
+    with pytest.raises(ValueError, match="must be an int"):
+        (X1 * X2**2).partial_derivative(j)
+
+
+@pytest.mark.parametrize("m", [1.5, 1.0, 0.0, True])
+def test_shift_x1_rejects_non_int(m):
+    with pytest.raises(ValueError, match="is not an int"):
+        (X1 * X2**2).shift_x1(m)

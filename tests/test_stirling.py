@@ -272,3 +272,11 @@ def test_closed_form_guards_raise_under_optimize():
         "Bertrand sum not divisible by 2! at (4,2)",
         "cycle-sum not integral at (3,1)",
     ]
+
+
+@pytest.mark.parametrize("n, k", [(3.0, 2), (3, 2.0), (True, 1), (3, True)])
+def test_closed_forms_reject_non_int_indices(n, k):
+    for formula in (stirling.s2_bertrand, stirling.s1_schloemilch, stirling.s1_via_assoc,
+                    stirling.s2_via_cycle):
+        with pytest.raises(ValueError, match="indices must be ints"):
+            formula(n, k)

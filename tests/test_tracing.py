@@ -75,3 +75,30 @@ def test_tracer_sees_verify_calls(capsys):
     assert all(r.passed for r in results)
     for key, b, a in zip(keys, before, after):
         assert a > b, key
+
+
+def test_tracer_sees_every_verify_suite_span(capsys):
+    # the benchmark's own guard: every span that perfbench/run.py requires on
+    # the verify-suite workload must grow under the whole suite, so a check
+    # that captured a function object at import fails here first
+    spec = importlib.util.spec_from_file_location("perfbench_run", TRACING.with_name("run.py"))
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    keys = [name.removesuffix(".calls") for name, workloads in run.MUST_CALL.items()
+            if "verify-suite" in workloads]
+    mods = SimpleNamespace(
+        cli=cli, msp=msp, poly=poly, ptypes=ptypes, series=series, stirling=stirling, verify=verify
+    )
+    tracer = load_tracing().Tracer(mods)
+    tracer.install()
+    tracer.enabled = True
+    try:
+        before = [tracer.spans[key][0] for key in keys]
+        results = verify.run_suite(4, cache=msp.MspCache())
+        after = [tracer.spans[key][0] for key in keys]
+    finally:
+        tracer.uninstall()
+    assert "trace:" not in capsys.readouterr().err
+    assert keys and all(r.passed for r in results)
+    for key, b, a in zip(keys, before, after):
+        assert a > b, key

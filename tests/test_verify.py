@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from mspkit import msp, verify
+from mspkit import msp, series, stirling, verify
 from mspkit.poly import MPoly
 
 
@@ -124,3 +124,59 @@ def test_triangle_driver_names_identity_cell_and_values(monkeypatch, check_id, n
     result = verify.run_suite(5, selection=[check_id])[0]
     assert not result.passed
     assert result.counterexample == want
+
+
+@pytest.mark.parametrize("max_n", [True, 2.5, "4"])
+def test_max_n_must_be_an_int(max_n):
+    with pytest.raises(ValueError, match="max_n must be an int"):
+        verify.run_suite(max_n)
+
+
+def test_selection_must_not_be_a_string():
+    with pytest.raises(ValueError, match="list of check ids"):
+        verify.run_suite(4, selection="table1-golden")
+
+
+def _bump_last(g):
+    return series.EgfCoeffs(g.coeffs[:-1] + (g.coeffs[-1] + 1,))
+
+
+@pytest.mark.parametrize(
+    "check_id, module, name, key, nth, change, want",
+    [
+        # a loop over the cells and the indeterminates of each cell
+        ("cor4.4-derivative", msp, "bell_explicit", (3, 2), 1, lambda p: p + MPoly.var(1),
+         lambda *_: "dB[3,2]/dX1 = C(3,1)B[2,1]: 1 + 3*X2 != 3*X2"),
+        # a predicate
+        ("rem5.4-x1-bounds", msp, "stirling_first_explicit", (3, 2), 1,
+         lambda p: p.shift_x1(-1), lambda *_: "S[3,2] lowest X1 power 0 >= 1: False != True"),
+        # a number table
+        ("rem4.1-bertrand", stirling, "s2_bertrand", (4, 2), 1, lambda v: v + 1,
+         lambda *_: "s2 at (4,2): 8 != 7"),
+        # random trials: the oracle path goes wrong on the third input
+        ("sec7-revert-three-paths", series, "revert_oracle", (), 3, _bump_last,
+         lambda f, good, bad: f"trial 2: f={list(f)}, oracle vs MSP: {list(bad)} != {list(good)}"),
+    ],
+    ids=["cor4.4-derivative", "rem5.4-x1-bounds", "rem4.1-bertrand", "sec7-revert-three-paths"],
+)
+def test_counterexample_names_cell_or_trial_and_both_values(
+    monkeypatch, check_id, module, name, key, nth, change, want
+):
+    # corrupt the nth result of module.name among the calls whose leading
+    # arguments are `key`
+    real = getattr(module, name)
+    calls, corruption = [], []
+
+    def corrupted(*args):
+        got = real(*args)
+        if args[: len(key)] == key:
+            calls.append(args)
+            if len(calls) == nth:
+                corruption[:] = [args[0], got, change(got)]
+                return corruption[2]
+        return got
+
+    monkeypatch.setattr(module, name, corrupted)
+    result = verify.run_suite(5, selection=[check_id])[0]
+    assert not result.passed
+    assert result.counterexample == want(*corruption)
