@@ -122,17 +122,17 @@ def bell_recursive(n: int, k: int, cache: MspCache | None = None) -> MPoly:
 
     B_{n+1,k} = X1*B_{n,k-1} + sum_j X_{j+1} * dB_{n,k}/dX_j,  B_{1,1} = X1.
     """
+    _check_triangle(n, k, 0)
     if k == 0:
         return MPoly.const(1) if n == 0 else MPoly.zero()
-    _check_triangle(n, k)
     x1 = MPoly.var(1)
     return _recursive("B_rec", n, k, cache, x1, lambda m, prev, low, d: x1 * low + d)
 
 
 def complete_bell(n: int, cache: MspCache | None = None) -> MPoly:
     """Complete Bell polynomial, the sum of B_{n,k} over k = 1..n."""
-    if n < 1:
-        raise ValueError("complete Bell polynomials start at n = 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"complete Bell polynomials need an int n >= 1, got {n!r}")
     return sum((family("B", n, k, cache) for k in range(1, n + 1)), MPoly.zero())
 
 
@@ -313,8 +313,8 @@ def snk1_nested(n: int, cache: MspCache | None = None) -> MPoly:
     contributes (-1)^(r+1) X1^((n-2) - sum j_i) B_{n,jr} B_{jr,j(r-1)} ... B_{j1,1}.
     Intermediate X1 powers can be negative; the total is a polynomial.
     """
-    if n < 2:
-        raise ValueError("the nested sum starts at n = 2")
+    if type(n) is not int or n < 2:
+        raise ValueError(f"the nested sum needs an int n >= 2, got {n!r}")
     total = LaurentX1.zero()
     indices = range(2, n)
     for r in range(0, n - 1):

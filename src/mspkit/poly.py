@@ -262,19 +262,20 @@ class MPoly:
         return total
 
     def eval_rat(self, point: Sequence[Fraction | int]) -> Fraction:
-        """Exact value at a rational point (point[j-1] is the value of X_j)."""
+        """Exact value at a rational point (point[j-1] is the value of X_j), as
+        a Fraction; int coordinates stay ints, so an all-int point sums in ints."""
         if self.width() > len(point):
             raise ValueError(
                 f"point covers X1..X{len(point)} but X{self.width()} occurs"
             )
-        total = Fraction(0)
+        xs = [x if type(x) is int else Fraction(x) for x in point]
+        total = 0
         for exps, coeff in self._terms.items():
-            v = Fraction(coeff)
-            for i, e in enumerate(exps):
+            for x, e in zip(xs, exps):
                 if e:
-                    v *= Fraction(point[i]) ** e
-            total += v
-        return total
+                    coeff *= x**e
+            total += coeff
+        return Fraction(total)
 
     # -- degrees -----------------------------------------------------------
 

@@ -9,8 +9,9 @@ computed by three structurally independent paths:
     revert_msp     signed coefficient sums over partition types P(2n-2, n-1)
     revert_comtet  alternating sums of associated Bell polynomials evaluated
                    at (0, f_2, ..., f_n) with exact negative powers of f_1
-    revert_oracle  term-by-term solution of f(g(x)) = x using plain truncated
-                   power-series substitution in ordinary normalization
+    revert_oracle  term-by-term solution of f(g(x)) = x by plain power-series
+                   substitution in ordinary normalization, reading the
+                   powers of g from a table filled one degree at a time
 
 The three must agree exactly; the verify module and the test suite compare
 them on random rational inputs.
@@ -26,6 +27,8 @@ result is divided back once, exactly.
     revert_msp, exp_transform_inverse S_{n,k}(f)/f_1^(2n-1) as the explicit
                                       type sum over P(2n-1-k, n-1) with
                                       stirling_fn weights
+    revert_comtet                     the symbolic Bt_{n+k-1,k} (msp.assoc_bell)
+                                      evaluated at the cleared integers
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ class Egf:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if any(isinstance(c, (float, bool)) for c in self.coeffs):
+            raise ValueError(f"coefficients must be exact, got {self.coeffs!r}")
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
         if not self.coeffs:
             raise ValueError("at least one coefficient is required")
@@ -71,13 +76,19 @@ class Egf:
         return self.coeffs[n - 1]
 
     def truncate(self, order: int) -> Egf:
-        if order < 1:
-            raise ValueError("order must be >= 1")
+        _check_order(order)
         padded = self.coeffs[:order] + (Fraction(0),) * (order - len(self.coeffs))
         return type(self)(padded)
 
     def __iter__(self):
         return iter(self.coeffs)
+
+
+def _check_order(order: int) -> int:
+    """order itself, if it is an int >= 1 (bool excluded)."""
+    if type(order) is not int or order < 1:
+        raise ValueError(f"order must be an int >= 1, got {order!r}")
+    return order
 
 
 def _nonzero_f1(f: Egf) -> Fraction:
@@ -98,7 +109,7 @@ class EgfCoeffs(Egf):
 
 def identity_egf(order: int = 1) -> EgfCoeffs:
     """The identity series x (coefficients 1, 0, 0, ...)."""
-    return EgfCoeffs((Fraction(1),) + (Fraction(0),) * (order - 1))
+    return EgfCoeffs((Fraction(1),) + (Fraction(0),) * (_check_order(order) - 1))
 
 
 @dataclass(frozen=True)
@@ -181,8 +192,7 @@ def _lie_value(n: int, k: int, D: int, a: list[int]) -> Fraction:
 
 def egf_compose(f: Egf, g: Egf, order: int | None = None) -> Egf:
     """Composition f(g(x)) to the given order via h_n = sum_k B_{n,k}(g) f_k."""
-    if order is None:
-        order = min(f.order, g.order)
+    order = _check_order(min(f.order, g.order) if order is None else order)
     D, T = _bell_triangle(g, order)
     E, b = _cleared(f, order)
     # h_n = sum_k (T[n][k] / D^k) (b_k / E), over the common denominator E*D^n
@@ -214,53 +224,43 @@ def revert_comtet(f: Egf, cache: msp.MspCache | None = None) -> EgfCoeffs:
 
     fbar_n = sum_{k=1}^{n-1} (-1)^k f_1^(-n-k) Bt_{n+k-1,k}(0, f_2, ..., f_n),
     with fbar_1 = 1/f_1.  The polynomials are generated symbolically and
-    evaluated exactly.
+    evaluated at the cleared integers a_j = D*f_j; Bt_{n+k-1,k} is
+    homogeneous of degree k, so the value is
+    D^n sum_k (-1)^k Bt_{n+k-1,k}(0, a_2, ..., a_n) a_1^(n-1-k) / a_1^(2n-1).
     """
     f1 = _nonzero_f1(f)
+    D, a = _cleared(f, f.order)
     out = [1 / f1]
     for n in range(2, f.order + 1):
-        point = [Fraction(0)] + [f.f(j) for j in range(2, n + 1)]
-        total = Fraction(0)
+        point = [0] + a[2 : n + 1]
+        total = 0
         for k in range(1, n):
             value = msp.assoc_bell(n + k - 1, k, cache).eval_rat(point)
             if value:
-                total += (-1) ** k * f1 ** (-n - k) * value
-        out.append(total)
+                total += (-1) ** k * value * a[1] ** (n - 1 - k)
+        out.append(Fraction(total * D**n, a[1] ** (2 * n - 1)))
     return EgfCoeffs(tuple(out))
 
 
 def revert_oracle(f: Egf) -> EgfCoeffs:
     """Inverse coefficients by solving f(g(x)) = x degree by degree.
 
-    Works in ordinary normalization a_n = f_n/n!; the x^n coefficient of
-    sum_m a_m g(x)^m is linear in the unknown b_n with coefficient a_1.
+    Works in ordinary normalization a_n = f_n/n! with the power table
+    P[m][n] = [x^n] g(x)^m (Knuth, TAOCP vol. 2, sec. 4.7).  For m >= 2,
+    P[m][n] = sum_{i=1}^{n-m+1} b_i P[m-1][n-i] needs only b_1..b_{n-1}, so
+    each degree fills one column, then solves sum_m a_m P[m][n] = 0 for b_n.
     """
     _nonzero_f1(f)
     N = f.order
     a = [Fraction(0)] + [f.f(n) / factorial(n) for n in range(1, N + 1)]
     b = [Fraction(0), 1 / a[1]]
+    P = [None, b]  # P[m][j] = [x^j] g(x)^m, zero below j = m
     for n in range(2, N + 1):
-        # powers of the partial inverse sum_{i<n} b_i x^i, truncated at x^n
-        partial = b + [Fraction(0)] * (n + 1 - len(b))
-        power = partial[: n + 1]
-        residue = Fraction(0)
+        P.append([Fraction(0)] * n)
         for m in range(2, n + 1):
-            power = _trunc_mul(power, partial, n)
-            if a[m]:
-                residue += a[m] * power[n]
-        b.append(-residue / a[1])
+            P[m].append(sum(b[i] * P[m - 1][n - i] for i in range(1, n - m + 2) if b[i]))
+        b.append(-sum(a[m] * P[m][n] for m in range(2, n + 1) if a[m]) / a[1])
     return EgfCoeffs(tuple(b[n] * factorial(n) for n in range(1, N + 1)))
-
-
-def _trunc_mul(p: list[Fraction], q: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    for i, pi in enumerate(p):
-        if pi == 0:
-            continue
-        for j in range(min(order - i, len(q) - 1) + 1):
-            if q[j]:
-                out[i + j] += pi * q[j]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +287,13 @@ def total_partitions_recurrence(nmax: int) -> list[int]:
 
 def total_partitions_egf(order: int) -> EgfCoeffs:
     """Coefficients of 1 + 2x - e^x (f_1 = 1, f_j = -1 for j >= 2)."""
-    return EgfCoeffs((Fraction(1),) + (Fraction(-1),) * (order - 1))
+    return EgfCoeffs((Fraction(1),) + (Fraction(-1),) * (_check_order(order) - 1))
 
 
 def exp_transform(f: Egf, order: int | None = None) -> list[TPoly]:
     """Rows n = 1..order of the expansion of exp(t*f); the t^k coefficient of
     row n is B_{n,k}(f_1, ..., f_{n-k+1})."""
-    if order is None:
-        order = f.order
+    order = _check_order(f.order if order is None else order)
     D, T = _bell_triangle(f, order)
     return [
         TPoly(tuple(Fraction(T[n][k], D**k) for k in range(n + 1)))
@@ -306,8 +305,7 @@ def exp_transform_inverse(f: Egf, order: int | None = None) -> list[TPoly]:
     """Rows n = 1..order of the expansion of exp(t*fbar) computed directly
     from f through the Laurent first-kind values, without reverting."""
     _nonzero_f1(f)
-    if order is None:
-        order = f.order
+    order = _check_order(f.order if order is None else order)
     D, a = _cleared(f, order)
     return [
         TPoly(tuple([Fraction(0)] + [_lie_value(n, k, D, a) for k in range(1, n + 1)]))

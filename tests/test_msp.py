@@ -299,3 +299,21 @@ def test_generators_reject_non_int_indices(n, k):
                       msp.lah_poly, msp.lie_first, msp.cor45_expand):
         with pytest.raises(ValueError, match="indices must be ints"):
             generator(n, k)
+
+
+@pytest.mark.parametrize("n, k", [(2.0, 0), (-1, 0), (True, 0), (2, 3)])
+def test_bell_recursive_checks_indices_before_k0(n, k):
+    with pytest.raises(ValueError, match="indices"):
+        msp.bell_recursive(n, k)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, True, 0])
+def test_complete_bell_rejects_non_int_or_small_n(n):
+    with pytest.raises(ValueError, match="complete Bell"):
+        msp.complete_bell(n)
+
+
+@pytest.mark.parametrize("n", [3.0, True, 1])
+def test_snk1_nested_rejects_non_int_or_small_n(n):
+    with pytest.raises(ValueError, match="nested sum"):
+        msp.snk1_nested(n)

@@ -97,6 +97,22 @@ def test_eval_rat():
     assert (X1 * X2).eval_rat([Fraction(1, 2), Fraction(2, 3)]) == Fraction(1, 3)
 
 
+@pytest.mark.parametrize(
+    "point",
+    [[2, -3, 5], [Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5)], [3, Fraction(-1, 4), 2]],
+    ids=["int", "fraction", "mixed"],
+)
+def test_eval_rat_int_fraction_and_mixed_points(point):
+    p = 3 * X2**2 - X1 * X3 + 5 * X1**3 * X2 - 7
+    as_fractions = [Fraction(v) for v in point]
+    x, y, z = as_fractions
+    want = 3 * y**2 - x * z + 5 * x**3 * y - 7
+    for poly, value in ((p, want), (LaurentX1(p, 3), want / x**3)):
+        got = poly.eval_rat(point)
+        assert got == value == poly.eval_rat(as_fractions)
+        assert type(got) is Fraction
+
+
 # ---------------------------------------------------------------------------
 # degrees
 # ---------------------------------------------------------------------------

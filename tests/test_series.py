@@ -15,7 +15,7 @@ from math import factorial
 
 import pytest
 
-from mspkit import series
+from mspkit import msp, series
 from mspkit.ptypes import partition_types, stirling_fn, subset_fn
 from mspkit.series import EgfCoeffs, TPoly
 
@@ -393,3 +393,103 @@ def test_compose_zero_g1_matches_oracle():
 def test_inversion_paths_reject_zero_f1(path):
     with pytest.raises(ValueError, match="f_1 must be nonzero"):
         path(series.Egf((F(0), F(1), F(2))))
+
+
+# ---------------------------------------------------------------------------
+# argument checks
+# ---------------------------------------------------------------------------
+
+ORDER_TAKERS = {
+    "identity_egf": series.identity_egf,
+    "total_partitions_egf": series.total_partitions_egf,
+    "exp_transform": lambda order: series.exp_transform(egf(1, 2, 3), order),
+    "exp_transform_inverse": lambda order: series.exp_transform_inverse(egf(1, 2, 3), order),
+    "egf_compose": lambda order: series.egf_compose(egf(1, 2), egf(3, 4), order),
+    "truncate": lambda order: egf(1, 2, 3).truncate(order),
+}
+
+
+@pytest.mark.parametrize("order", [0, -2, True, False, 2.0, "3"])
+@pytest.mark.parametrize("name", sorted(ORDER_TAKERS))
+def test_orders_must_be_ints_at_least_one(name, order):
+    with pytest.raises(ValueError, match="order must be an int >= 1"):
+        ORDER_TAKERS[name](order)
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, True, False])
+def test_egf_rejects_float_and_bool_coefficients(bad):
+    for cls in (series.Egf, EgfCoeffs):
+        with pytest.raises(ValueError, match="coefficients must be exact"):
+            cls((F(1), bad))
+    # exact spellings of the same numbers are accepted
+    assert series.Egf((1, "1/10", F(1, 10))).coeffs == (F(1), F(1, 10), F(1, 10))
+
+
+# ---------------------------------------------------------------------------
+# the three reversion paths at the benchmark's orders
+# ---------------------------------------------------------------------------
+
+
+def sparse_egf(rng: random.Random, order: int) -> EgfCoeffs:
+    """Random rational coefficients, denominators up to 20, about a third of
+    f_2..f_N zero, and f_1 nonzero of either sign and rarely a unit."""
+    coeffs = [F(rng.choice([-1, 1]) * rng.randint(1, 99), rng.randint(1, 20))]
+    for _ in range(2, order + 1):
+        num = 0 if rng.random() < 0.35 else rng.randint(-99, 99)
+        coeffs.append(F(num, rng.randint(1, 20)))
+    return EgfCoeffs(tuple(coeffs))
+
+
+def test_sparse_egf_shapes():
+    rng = random.Random("sparse-shapes")
+    fs = [sparse_egf(rng, 16) for _ in range(20)]
+    assert any(f.f(1) < 0 for f in fs) and any(abs(f.f(1)) != 1 for f in fs)
+    assert all(any(c == 0 for c in f.coeffs[1:]) for f in fs)
+    assert max(c.denominator for f in fs for c in f) > 10
+
+
+def test_revert_oracle_matches_msp_at_orders_9_to_24():
+    rng = random.Random("oracle-msp-9-24")
+    for order in range(9, 25):
+        f = sparse_egf(rng, order)
+        assert series.revert_oracle(f) == series.revert_msp(f), order
+
+
+def test_revert_comtet_matches_both_at_orders_9_to_14():
+    rng = random.Random("comtet-9-14")
+    for order in range(9, 15):
+        f = sparse_egf(rng, order)
+        want = series.revert_msp(f)
+        assert series.revert_oracle(f) == want, order
+        assert series.revert_comtet(f, msp.MspCache()) == want, order
+
+
+class Forbidden:
+    """Stands in for a function or module that a path must not use."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError(f"{self.name} was called")
+
+    def __getattr__(self, attr):
+        raise AssertionError(f"{self.name}.{attr} was used")
+
+
+def test_reversion_paths_share_no_computation(monkeypatch):
+    rng = random.Random("independence")
+    fs = [sparse_egf(rng, order) for order in (1, 2, 7, 12)]
+    want = [series.revert_msp(f) for f in fs]
+    with monkeypatch.context() as m:
+        for name in ("msp", "partition_types", "stirling_fn", "convolution_table", "_cleared"):
+            m.setattr(series, name, Forbidden(name))
+        assert [series.revert_oracle(f) for f in fs] == want
+        with pytest.raises(AssertionError, match="was"):
+            series.revert_msp(fs[-1])
+    with monkeypatch.context() as m:
+        for name in ("convolution_table", "_lie_value"):
+            m.setattr(series, name, Forbidden(name))
+        assert [series.revert_comtet(f, msp.MspCache()) for f in fs] == want
+        with pytest.raises(AssertionError, match="_lie_value was called"):
+            series.revert_msp(fs[-1])
