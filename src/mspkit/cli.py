@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import msp, series, stirling, verify
-from .ptypes import partition_types
+from .ptypes import format_type, partition_types
 
 
 # polynomial generation beyond this needs --force.  Building a whole explicit
@@ -118,6 +118,8 @@ def _check_cap(parser: argparse.ArgumentParser, value: int, name: str):
 
 def _cmd_msp_gen(parser, args) -> int:
     _check_cap(parser, args.n, "n")
+    if args.n < 1:
+        parser.error("n must be >= 1: no family has a member at n = 0")
     if args.n > DEFAULT_GEN_DEPTH and not args.force:
         parser.error(
             f"n={args.n} exceeds the default depth limit"
@@ -251,13 +253,7 @@ def _cmd_series_exp_transform(parser, args) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     rows = series.exp_transform(f, args.order)
-    payload = {
-        "rows": [
-            [str(row.coefficient(k)) for k in range(n + 1)]
-            for n, row in enumerate(rows, start=1)
-        ]
-    }
-    print(json.dumps(payload))
+    print(json.dumps({"rows": [[str(c) for c in row] for row in rows]}))
     return 0
 
 
@@ -265,8 +261,8 @@ def _cmd_ptypes_list(parser, args) -> int:
     _check_cap(parser, args.n, "n")
     if args.k < 0:
         parser.error("k must be nonnegative")
-    for pt in partition_types(args.n, args.k):
-        print(pt)
+    for r in partition_types(args.n, args.k):
+        print(format_type(r))
     return 0
 
 

@@ -74,10 +74,10 @@ def family(kind: str, n: int, k: int, cache: MspCache | None = None) -> CacheVal
     elif kind in ("B", "Bt", "L"):
         types, weight = partition_types(n, k), order_fn if kind == "L" else subset_fn
         if kind == "Bt":
-            types = [pt for pt in types if not (pt.r and pt.r[0])]
+            types = [r for r in types if not (r and r[0])]
     else:
         raise ValueError(f"unknown family kind {kind!r} (expected S, B, Bt, L or A)")
-    return c.put(kind, n, k, MPoly({pt.r: weight(pt) for pt in types}))
+    return c.put(kind, n, k, MPoly({r: weight(r) for r in types}))
 
 
 def _recursive(kind: str, n: int, k: int, cache: MspCache | None, seed: MPoly, step):

@@ -208,8 +208,8 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> MPoly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
+        if type(n) is not int or n < 0:
+            raise ValueError(f"a polynomial power needs an int exponent >= 0, got {n!r}")
         result = MPoly.const(1)
         base = self
         e = n

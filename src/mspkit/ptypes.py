@@ -1,13 +1,17 @@
 """Partition types and their coefficient functions.
 
-An (n,k)-partition type is a multiplicity vector r = (r1, r2, ...) of
-nonnegative integers with
+An (n,k)-partition type is a multiplicity vector r = (r1, r2, ...), a
+plain tuple of nonnegative ints, with
 
     sum_j r_j     = k   (number of blocks)
     sum_j j * r_j = n   (number of elements),
 
-r_j counting the blocks of size j.  Four integer-valued weights on these
-vectors drive everything else in the library:
+r_j counting the blocks of size j.  The same tuple is the exponent of the
+monomial X1^r1 X2^r2 ... that the type weighs in B_{n,k} and S_{n,k}.
+partition_types builds every vector trimmed; trailing zeros change no
+weight.  format_type writes a type as "1,0,2" ("0" when empty).  Four
+integer-valued weights on these vectors drive everything else in the
+library:
 
     order_fn     n! / (r1! r2! ...)                        linearly ordered blocks
     cycle_fn     n! / (r1! r2! ... 1^r1 2^r2 ...)          cyclically ordered blocks
@@ -15,47 +19,31 @@ vectors drive everything else in the library:
     stirling_fn  the signed coefficient function of the first-kind
                  Stirling polynomials, defined on types in P(2n-1-k, n-1)
 
-All four are exact integers; a division that leaves a remainder raises
-ValueError (also under python -O), it is never rounded.
+All four are exact integers.  They raise ValueError (also under
+python -O) unless r is a tuple of nonnegative ints, bools excluded, and
+when a division leaves a remainder; nothing is rounded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, prod
 from operator import mul
 
-
-@dataclass(frozen=True)
-class PartitionType:
-    """Multiplicity vector with trailing zeros trimmed."""
-
-    r: tuple[int, ...]
-
-    def __post_init__(self):
-        t = self.r
-        if t and min(t) < 0:
-            raise ValueError(f"negative multiplicity in {t}")
-        if t and t[-1] == 0:
-            while t and t[-1] == 0:
-                t = t[:-1]
-            object.__setattr__(self, "r", t)
-
-    @property
-    def weight(self) -> int:
-        """n = sum j*r_j."""
-        return sum(map(mul, self.r, range(1, len(self.r) + 1)))
-
-    @property
-    def length(self) -> int:
-        """k = sum r_j."""
-        return sum(self.r)
-
-    def __str__(self) -> str:
-        return ",".join(str(x) for x in self.r) if self.r else "0"
+_INT = frozenset({int})
 
 
-def partition_types(n: int, k: int) -> list[PartitionType]:
+def format_type(r: tuple[int, ...]) -> str:
+    """The multiplicities joined by commas, "1,0,2"; "0" for the empty type."""
+    return ",".join(map(str, r)) if r else "0"
+
+
+def _check_type(r) -> None:
+    """Raise ValueError unless r is a tuple of nonnegative ints (bool excluded)."""
+    if type(r) is not tuple or not _INT.issuperset(map(type, r)) or (r and min(r) < 0):
+        raise ValueError(f"a partition type is a tuple of nonnegative ints, got {r!r}")
+
+
+def partition_types(n: int, k: int) -> list[tuple[int, ...]]:
     """All (n,k)-partition types in ascending lexicographic order.
 
     P(n,0) is empty for n > 0 and P(0,0) contains only the empty vector.
@@ -63,13 +51,13 @@ def partition_types(n: int, k: int) -> list[PartitionType]:
     ascending order, so the types come out sorted (Knuth, TAOCP 4A,
     7.2.1.4); every vector is built trimmed and nonnegative.
     """
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
+    if type(n) is not int or type(k) is not int or n < 0 or k < 0:
+        raise ValueError(f"n and k must be nonnegative ints, got ({n!r},{k!r})")
     if k == 0:
-        return [PartitionType(())] if n == 0 else []
+        return [()] if n == 0 else []
     if n < k:
         return []
-    found: list[PartitionType] = []
+    found: list[tuple[int, ...]] = []
     emit = found.append
     buf = [0] * (n - k + 1)  # buf[j-1] holds r_j on the current path
     zeros = (0,) * (n - k + 1)
@@ -79,7 +67,7 @@ def partition_types(n: int, k: int) -> list[PartitionType]:
         if rest_n == j * rest_k:
             # every remaining part has size j
             buf[j - 1] = rest_k
-            emit(PartitionType(tuple(buf[:j])))
+            emit(tuple(buf[:j]))
             return
         # the rest_k - r_j >= 2 parts of size > j need
         # rest_n - j*r_j >= (j+1)*(rest_k - r_j), a lower bound on r_j
@@ -88,63 +76,53 @@ def partition_types(n: int, k: int) -> list[PartitionType]:
             descend(j + 1, rest_n - j * rj, rest_k - rj)
         # one part is left: it has size rest_n - j*(rest_k - 1) > j
         buf[j - 1] = rest_k - 1
-        emit(PartitionType(tuple(buf[:j]) + zeros[: rest_n - j * rest_k - 1] + (1,)))
+        emit(tuple(buf[:j]) + zeros[: rest_n - j * rest_k - 1] + (1,))
 
     if k == 1:
-        return [PartitionType(zeros[: n - 1] + (1,))]
+        return [zeros[: n - 1] + (1,)]
     descend(1, n, k)
     return found
 
 
-def order_fn(pt: PartitionType) -> int:
-    """Count of partitions into linearly ordered blocks of type pt (Lah weight)."""
-    return factorial(pt.weight) // prod(map(factorial, pt.r))
+def order_fn(r: tuple[int, ...]) -> int:
+    """Count of partitions into linearly ordered blocks of type r (Lah weight)."""
+    _check_type(r)
+    return factorial(sum(map(mul, r, range(1, len(r) + 1)))) // prod(map(factorial, r))
 
 
-def cycle_fn(pt: PartitionType) -> int:
-    """Count of partitions into cyclically ordered blocks of type pt."""
-    num = order_fn(pt)
-    den = prod(map(pow, range(1, len(pt.r) + 1), pt.r))
+def cycle_fn(r: tuple[int, ...]) -> int:
+    """Count of partitions into cyclically ordered blocks of type r."""
+    num = order_fn(r)  # checks r
+    den = prod(map(pow, range(1, len(r) + 1), r))
     q, rem = divmod(num, den)
     if rem:
-        raise ValueError(f"cycle_fn not integral on {pt}")
+        raise ValueError(f"cycle_fn not integral on {format_type(r)}")
     return q
 
 
-def subset_fn(pt: PartitionType) -> int:
-    """Count of partitions into unordered blocks of type pt."""
-    num = order_fn(pt)
-    den = prod(map(pow, map(factorial, range(1, len(pt.r) + 1)), pt.r))
+def subset_fn(r: tuple[int, ...]) -> int:
+    """Count of partitions into unordered blocks of type r."""
+    num = order_fn(r)  # checks r
+    den = prod(map(pow, map(factorial, range(1, len(r) + 1)), r))
     q, rem = divmod(num, den)
     if rem:
-        raise ValueError(f"subset_fn not integral on {pt}")
+        raise ValueError(f"subset_fn not integral on {format_type(r)}")
     return q
 
 
-def stirling_indices(pt: PartitionType) -> tuple[int, int]:
-    """Recover (n, k) such that pt lies in P(2n-1-k, n-1).
-
-    n = length + 1 and k = 2*length + 1 - weight; k must be >= 1.
-    """
-    n = pt.length + 1
-    k = 2 * pt.length + 1 - pt.weight
-    if k < 1:
-        raise ValueError(f"{pt} is not a first-kind coefficient type (k={k})")
-    return n, k
-
-
-def stirling_fn(pt: PartitionType) -> int:
-    """Signed first-kind coefficient on a type in P(2n-1-k, n-1).
+def stirling_fn(r: tuple[int, ...]) -> int:
+    """Signed first-kind coefficient on a type r in P(2n-1-k, n-1).
 
     (-1)^(n-1-r1) * (2n-2-r1)! / ((k-1)! r2! r3! ... (2!)^r2 (3!)^r3 ...)
 
-    with n and k as in `stirling_indices`, computed here inline.
+    where n = length + 1 and k = 2*length + 1 - weight, for the length
+    sum r_j and the weight sum j*r_j of r; k must be >= 1.
     """
-    r = pt.r
-    length = pt.length
-    k = 2 * length + 1 - pt.weight
+    _check_type(r)
+    length = sum(r)
+    k = 2 * length + 1 - sum(map(mul, r, range(1, len(r) + 1)))
     if k < 1:
-        raise ValueError(f"{pt} is not a first-kind coefficient type (k={k})")
+        raise ValueError(f"{format_type(r)} is not a first-kind coefficient type (k={k})")
     r1 = r[0] if r else 0
     num = factorial(2 * length - r1)  # (2n-2-r1)! with n = length + 1
     den = factorial(k - 1)
@@ -153,5 +131,5 @@ def stirling_fn(pt: PartitionType) -> int:
             den *= factorial(x) * factorial(j) ** x
     q, rem = divmod(num, den)
     if rem:
-        raise ValueError(f"stirling_fn not integral on {pt}")
+        raise ValueError(f"stirling_fn not integral on {format_type(r)}")
     return q if (length - r1) % 2 == 0 else -q

@@ -2,9 +2,10 @@
 
 A series f = sum f_n x^n / n! with f_0 = 0 is carried by its coefficient
 list f_1..f_N of exact rationals (Egf); composition and exp(t*f) take any
-such series.  Reversion (the compositional inverse) needs f_1 != 0, which
-the subtype EgfCoeffs enforces and every inversion path checks; it is
-computed by three structurally independent paths:
+such series.  Row n of exp(t*f) is the tuple of its n+1 t-coefficients,
+the Fractions at t^0..t^n.  Reversion (the compositional inverse) needs
+f_1 != 0, which the subtype EgfCoeffs enforces and every inversion path
+checks; it is computed by three structurally independent paths:
 
     revert_msp     signed coefficient sums over partition types P(2n-2, n-1)
     revert_comtet  alternating sums of associated Bell polynomials evaluated
@@ -38,7 +39,6 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from . import msp
-from .poly import join_terms
 from .ptypes import partition_types, stirling_fn
 from .stirling import convolution_table, recurrence_table
 
@@ -112,39 +112,6 @@ def identity_egf(order: int = 1) -> EgfCoeffs:
     return EgfCoeffs((Fraction(1),) + (Fraction(0),) * (_check_order(order) - 1))
 
 
-@dataclass(frozen=True)
-class TPoly:
-    """Polynomial in a formal parameter t; coefficients c_0..c_n, trimmed."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        cs = tuple(Fraction(c) for c in self.coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
-    def evaluate(self, t: Fraction | int) -> Fraction:
-        total = Fraction(0)
-        for c in reversed(self.coeffs):
-            total = total * Fraction(t) + c
-        return total
-
-    def __str__(self) -> str:
-        return join_terms(
-            (c, "" if k == 0 else ("t" if k == 1 else f"t^{k}"))
-            for k, c in enumerate(self.coeffs)
-            if c
-        )
-
-
 # ---------------------------------------------------------------------------
 # numeric evaluation of the polynomial families at a coefficient sequence
 # ---------------------------------------------------------------------------
@@ -165,7 +132,7 @@ def _bell_triangle(g: Egf, order: int) -> tuple[int, tuple[tuple[int, ...], ...]
     integers a_j = D*g_j; B_{n,k} is homogeneous of degree k.
     """
     D, a = _cleared(g, order)
-    return D, convolution_table("B", order, a).rows
+    return D, convolution_table(order, a).rows
 
 
 def _lie_value(n: int, k: int, D: int, a: list[int]) -> Fraction:
@@ -176,11 +143,11 @@ def _lie_value(n: int, k: int, D: int, a: list[int]) -> Fraction:
     total * D^n / a_1^(2n-1).
     """
     total = 0
-    for pt in partition_types(2 * n - 1 - k, n - 1):
-        v = stirling_fn(pt)
-        for j, r in enumerate(pt.r):
-            if r:
-                v *= a[j + 1] ** r
+    for r in partition_types(2 * n - 1 - k, n - 1):
+        v = stirling_fn(r)
+        for j, x in enumerate(r, 1):
+            if x:
+                v *= a[j] ** x
         total += v
     return Fraction(total * D**n, a[1] ** (2 * n - 1))
 
@@ -271,9 +238,7 @@ def revert_oracle(f: Egf) -> EgfCoeffs:
 def total_partitions_triangle(nmax: int) -> tuple[tuple[int, ...], ...]:
     """The triangle b_{n,k} = (2n-k) b_{n-1,k-1} + 2k b_{n-1,k}, rows 0..nmax."""
     return recurrence_table(
-        "total",
-        nmax,
-        lambda t, n, k: (2 * n - k) * t(n - 1, k - 1) + 2 * k * t(n - 1, k),
+        nmax, lambda t, n, k: (2 * n - k) * t(n - 1, k - 1) + 2 * k * t(n - 1, k)
     ).rows
 
 
@@ -290,24 +255,25 @@ def total_partitions_egf(order: int) -> EgfCoeffs:
     return EgfCoeffs((Fraction(1),) + (Fraction(-1),) * (_check_order(order) - 1))
 
 
-def exp_transform(f: Egf, order: int | None = None) -> list[TPoly]:
-    """Rows n = 1..order of the expansion of exp(t*f); the t^k coefficient of
-    row n is B_{n,k}(f_1, ..., f_{n-k+1})."""
+def exp_transform(f: Egf, order: int | None = None) -> list[tuple[Fraction, ...]]:
+    """Rows n = 1..order of the expansion of exp(t*f); row n holds the
+    coefficients of t^0..t^n, the t^k one being B_{n,k}(f_1, ..., f_{n-k+1})."""
     order = _check_order(f.order if order is None else order)
     D, T = _bell_triangle(f, order)
     return [
-        TPoly(tuple(Fraction(T[n][k], D**k) for k in range(n + 1)))
+        tuple(Fraction(T[n][k], D**k) for k in range(n + 1))
         for n in range(1, order + 1)
     ]
 
 
-def exp_transform_inverse(f: Egf, order: int | None = None) -> list[TPoly]:
-    """Rows n = 1..order of the expansion of exp(t*fbar) computed directly
-    from f through the Laurent first-kind values, without reverting."""
+def exp_transform_inverse(f: Egf, order: int | None = None) -> list[tuple[Fraction, ...]]:
+    """Rows n = 1..order of the expansion of exp(t*fbar), each holding the
+    coefficients of t^0..t^n, computed directly from f through the Laurent
+    first-kind values, without reverting."""
     _nonzero_f1(f)
     order = _check_order(f.order if order is None else order)
     D, a = _cleared(f, order)
     return [
-        TPoly(tuple([Fraction(0)] + [_lie_value(n, k, D, a) for k in range(1, n + 1)]))
+        (Fraction(0),) + tuple(_lie_value(n, k, D, a) for k in range(1, n + 1))
         for n in range(1, order + 1)
     ]

@@ -30,7 +30,6 @@ from .ptypes import cycle_fn, partition_types
 class NumberTable:
     """Triangular array indexed 0 <= k <= n <= nmax; zero outside."""
 
-    kind: str
     rows: tuple[tuple[int, ...], ...]
 
     @property
@@ -43,12 +42,17 @@ class NumberTable:
         return 0
 
 
-def recurrence_table(kind: str, nmax: int, step) -> NumberTable:
+def _check_size(nmax: int) -> None:
+    """Raise ValueError unless the table size nmax is an int >= 0, bool excluded."""
+    if type(nmax) is not int or nmax < 0:
+        raise ValueError(f"table size must be a nonnegative int, got {nmax!r}")
+
+
+def recurrence_table(nmax: int, step) -> NumberTable:
     """Fill rows 0..nmax from row 0 = (1,), with entry (n, k) = step(t, n, k)
     for 1 <= k <= n and (n, 0) = 0; t(m, j) reads any earlier row and is 0
     outside 0 <= j <= m."""
-    if nmax < 0:
-        raise ValueError("table size must be nonnegative")
+    _check_size(nmax)
     rows: list[tuple[int, ...]] = [(1,)]
 
     def t(m: int, j: int) -> int:
@@ -56,18 +60,17 @@ def recurrence_table(kind: str, nmax: int, step) -> NumberTable:
 
     for n in range(1, nmax + 1):
         rows.append(tuple([0] + [step(t, n, k) for k in range(1, n + 1)]))
-    return NumberTable(kind, tuple(rows))
+    return NumberTable(tuple(rows))
 
 
-def convolution_table(kind: str, nmax: int, a: list[int]) -> NumberTable:
+def convolution_table(nmax: int, a: list[int]) -> NumberTable:
     """Prop 5.5 on integer weights a[1..nmax] (a[0] unused):
 
     T(n,k) = sum_j C(n-1,j-1) a_j T(n-j,k-1),  T(0,0) = 1,
 
     so T(n,k) is the partial Bell value B_{n,k}(a_1, a_2, ...).
     """
-    if nmax < 0:
-        raise ValueError("table size must be nonnegative")
+    _check_size(nmax)
     rows: list[tuple[int, ...]] = [(1,)]
     for n in range(1, nmax + 1):
         ca = [0] + [comb(n - 1, j - 1) * a[j] for j in range(1, n + 1)]
@@ -77,36 +80,31 @@ def convolution_table(kind: str, nmax: int, a: list[int]) -> NumberTable:
                 ca[j] * rows[n - j][k - 1] for j in range(1, n - k + 2) if ca[j]
             )
         rows.append(tuple(row))
-    return NumberTable(kind, tuple(rows))
+    return NumberTable(tuple(rows))
 
 
 def s1_table(nmax: int) -> NumberTable:
     """Signed Stirling numbers of the first kind:
     s1(n,k) = s1(n-1,k-1) - (n-1)*s1(n-1,k)."""
-    return recurrence_table(
-        "s1", nmax, lambda t, n, k: t(n - 1, k - 1) - (n - 1) * t(n - 1, k)
-    )
+    return recurrence_table(nmax, lambda t, n, k: t(n - 1, k - 1) - (n - 1) * t(n - 1, k))
 
 
 def s2_table(nmax: int) -> NumberTable:
     """Stirling numbers of the second kind: s2(n,k) = s2(n-1,k-1) + k*s2(n-1,k)."""
-    return recurrence_table(
-        "s2", nmax, lambda t, n, k: t(n - 1, k - 1) + k * t(n - 1, k)
-    )
+    return recurrence_table(nmax, lambda t, n, k: t(n - 1, k - 1) + k * t(n - 1, k))
 
 
 def cycle_table(nmax: int) -> NumberTable:
     """Unsigned first-kind (cycle) numbers: c(n,k) = c(n-1,k-1) + (n-1)*c(n-1,k)."""
-    return recurrence_table(
-        "c", nmax, lambda t, n, k: t(n - 1, k - 1) + (n - 1) * t(n - 1, k)
-    )
+    return recurrence_table(nmax, lambda t, n, k: t(n - 1, k - 1) + (n - 1) * t(n - 1, k))
 
 
 def assoc_s2_table(nmax: int) -> NumberTable:
     """Associated Stirling numbers of the second kind (no singleton blocks),
     the associated Bell values Bt_{n,k}(1, 1, ...): Prop 5.5 with a_1 = 0 and
     a_j = 1 for j >= 2."""
-    return convolution_table("assoc", nmax, [0, 0] + [1] * (nmax - 1))
+    _check_size(nmax)  # before the weight list is sized by it
+    return convolution_table(nmax, [0, 0] + [1] * (nmax - 1))
 
 
 def lah_tables(nmax: int) -> tuple[NumberTable, NumberTable]:
@@ -118,8 +116,8 @@ def lah_tables(nmax: int) -> tuple[NumberTable, NumberTable]:
         return t(n - 1, k - 1) + (n - 1 + k) * t(n - 1, k)
 
     return (
-        recurrence_table("lah", nmax, step),
-        recurrence_table("lah_signed", nmax, lambda t, n, k: -step(t, n, k)),
+        recurrence_table(nmax, step),
+        recurrence_table(nmax, lambda t, n, k: -step(t, n, k)),
     )
 
 
@@ -216,10 +214,10 @@ def s2_via_cycle(n: int, k: int) -> int:
     _check_triangle(n, k)
     total = Fraction(0)
     top = comb(2 * n - 2, k - 1)
-    for pt in partition_types(2 * n - 1 - k, n - 1):
-        r1 = pt.r[0] if pt.r else 0
+    for r in partition_types(2 * n - 1 - k, n - 1):
+        r1 = r[0] if r else 0
         sign = 1 if (r1 - (k - 1)) % 2 == 0 else -1
-        total += Fraction(sign * top, comb(2 * n - 2, r1)) * cycle_fn(pt)
+        total += Fraction(sign * top, comb(2 * n - 2, r1)) * cycle_fn(r)
     if total.denominator != 1:
         raise ValueError(f"cycle-sum not integral at ({n},{k})")
     return int(total)

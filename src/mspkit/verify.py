@@ -238,11 +238,11 @@ def _cor63(depth, rng, cache):
     # one comparison per cell, which holds up to hundreds of types: too many to label
     for n, k in _cells(depth):
         lhs, rhs = [], []
-        for pt in partition_types(2 * n - 1 - k, n - 1):
-            r1 = pt.r[0] if pt.r else 0
-            lhs.append(comb(2 * n - 1 - k, r1) * stirling_fn(pt))
+        for r in partition_types(2 * n - 1 - k, n - 1):
+            r1 = r[0] if r else 0
+            lhs.append(comb(2 * n - 1 - k, r1) * stirling_fn(r))
             sign = 1 if (n - 1 - r1) % 2 == 0 else -1
-            rhs.append(sign * comb(2 * n - 2 - r1, k - 1) * subset_fn(pt))
+            rhs.append(sign * comb(2 * n - 2 - r1, k - 1) * subset_fn(r))
         yield f"({n},{k}) over the types of P({2 * n - 1 - k},{n - 1})", lhs, rhs
 
 
@@ -458,18 +458,18 @@ def _prop73(depth, rng, cache):
     s1, s2 = stirling.s1_table(depth), stirling.s2_table(depth)
     ones = series.EgfCoeffs((Fraction(1),) * depth)
     for n, row in enumerate(series.exp_transform(ones), start=1):
-        for k in range(n + 1):
-            yield f"forward row {n}: t^{k} coefficient", row.coefficient(k), s2.value(n, k)
+        for k, c in enumerate(row):
+            yield f"forward row {n}: t^{k} coefficient", c, s2.value(n, k)
     inverse_rows = series.exp_transform_inverse(ones)
     for n, row in enumerate(inverse_rows, start=1):
-        for k in range(n + 1):
-            yield f"inverse row {n}: t^{k} coefficient", row.coefficient(k), s1.value(n, k)
+        for k, c in enumerate(row):
+            yield f"inverse row {n}: t^{k} coefficient", c, s1.value(n, k)
     # consistency of the two routes to the inverse rows
     yield ("exp transform of the inverse vs the direct inverse rows",
            series.exp_transform(series.revert_msp(ones)), inverse_rows)
     bell = stirling.bell_numbers(depth)
     for n, row in enumerate(series.exp_transform(ones), start=1):
-        yield f"row {n} at t=1 vs Bell number", row.evaluate(1), bell[n]
+        yield f"row {n} at t=1 vs Bell number", sum(row), bell[n]
 
 
 # ---------------------------------------------------------------------------

@@ -156,11 +156,9 @@ def test_criterion_8_exp_transform_rows():
         s2 = stirling.s2_table(10)
         ones = series.EgfCoeffs((F(1),) * 10)
         for n, row in enumerate(series.exp_transform(ones), start=1):
-            for k in range(n + 1):
-                assert row.coefficient(k) == s2.value(n, k)
+            assert row == tuple(s2.value(n, k) for k in range(n + 1))
         for n, row in enumerate(series.exp_transform_inverse(ones), start=1):
-            for k in range(n + 1):
-                assert row.coefficient(k) == s1.value(n, k)
+            assert row == tuple(s1.value(n, k) for k in range(n + 1))
 
 
 def test_criterion_9_structural_invariants():
@@ -183,13 +181,13 @@ def test_criterion_9_structural_invariants():
                         n - j, k - 1, _CACHE
                     )
                 # per-type coefficient identity
-                for pt in partition_types(2 * n - 1 - k, n - 1):
-                    r1 = pt.r[0] if pt.r else 0
-                    lhs = comb(2 * n - 1 - k, r1) * stirling_fn(pt)
+                for r in partition_types(2 * n - 1 - k, n - 1):
+                    r1 = r[0] if r else 0
+                    lhs = comb(2 * n - 1 - k, r1) * stirling_fn(r)
                     rhs = (
                         (-1) ** (n - 1 - r1)
                         * comb(2 * n - 2 - r1, k - 1)
-                        * subset_fn(pt)
+                        * subset_fn(r)
                     )
                     assert lhs == rhs
         # associated family values

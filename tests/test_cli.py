@@ -248,6 +248,18 @@ def test_gen_accepts_every_registered_kind(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("kind", msp.KINDS)
+def test_gen_rejects_n_below_one(capsys, kind):
+    # no kind has a member with k >= 1 at n = 0, so an empty row is a usage error
+    for fmt in ("text", "json"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["msp", "gen", "--kind", kind, "--n", "0", "--format", fmt])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n must be >= 1" in captured.err
+
+
 @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
 def test_gen_complete_bell(capsys, fmt):
     code, out, _ = run_cli(capsys, "msp", "gen", "--kind", "Bn", "--n", "3", "--format", fmt)

@@ -19,12 +19,11 @@ import pytest
 
 import mspkit
 from mspkit.ptypes import (
-    PartitionType,
     cycle_fn,
+    format_type,
     order_fn,
     partition_types,
     stirling_fn,
-    stirling_indices,
     subset_fn,
 )
 
@@ -83,24 +82,24 @@ def count_cycle_arrangements(n: int, k: int) -> int:
 
 
 def test_enumerate_4_2():
-    assert {pt.r for pt in partition_types(4, 2)} == {(1, 0, 1), (0, 2)}
+    assert set(partition_types(4, 2)) == {(1, 0, 1), (0, 2)}
 
 
 def test_enumerate_degenerate():
     assert partition_types(3, 0) == []
-    assert [pt.r for pt in partition_types(0, 0)] == [()]
+    assert partition_types(0, 0) == [()]
     assert partition_types(2, 3) == []
 
 
 def test_enumerate_8_3_brute_force():
-    got = {pt.r for pt in partition_types(8, 3)}
+    got = set(partition_types(8, 3))
     assert got == brute_force_types(8, 3)
     assert len(got) == 5
 
 
 @pytest.mark.parametrize("n,k", [(6, 2), (7, 4), (9, 3), (10, 5)])
 def test_enumerate_matches_brute_force(n, k):
-    assert {pt.r for pt in partition_types(n, k)} == brute_force_types(n, k)
+    assert set(partition_types(n, k)) == brute_force_types(n, k)
 
 
 def test_enumerate_counts_up_to_25():
@@ -111,7 +110,7 @@ def test_enumerate_counts_up_to_25():
 
 def test_enumerate_order_is_lexicographic():
     for n, k in [(8, 3), (12, 4), (9, 2)]:
-        rs = [pt.r for pt in partition_types(n, k)]
+        rs = partition_types(n, k)
         assert rs == sorted(rs)
 
 
@@ -119,15 +118,17 @@ def test_largest_part_bound():
     # the largest part size never exceeds n-k+1
     for n in range(1, 15):
         for k in range(1, n + 1):
-            for pt in partition_types(n, k):
-                assert len(pt.r) <= n - k + 1
+            for r in partition_types(n, k):
+                assert len(r) <= n - k + 1
 
 
 def test_weight_length():
-    pt = PartitionType((1, 0, 2))
-    assert pt.weight == 7
-    assert pt.length == 3
-    assert PartitionType((1, 0, 0)).r == (1,)
+    # every type of P(n, k) has weight sum j*r_j = n and length sum r_j = k
+    for n in range(12):
+        for k in range(n + 1):
+            for r in partition_types(n, k):
+                assert sum(j * x for j, x in enumerate(r, 1)) == n
+                assert sum(r) == k
 
 
 # ---------------------------------------------------------------------------
@@ -136,60 +137,60 @@ def test_weight_length():
 
 
 def test_order_fn():
-    assert order_fn(PartitionType((2, 1))) == 12
-    assert order_fn(PartitionType(())) == 1
+    assert order_fn((2, 1)) == 12
+    assert order_fn(()) == 1
     # sum over P(4,2) equals the count of partitions of a 4-set into two
     # linearly ordered blocks: (sizes 1+3) 4*3! + (sizes 2+2) 3*2!*2! = 36
-    total = sum(order_fn(pt) for pt in partition_types(4, 2))
+    total = sum(order_fn(r) for r in partition_types(4, 2))
     assert total == 36
     assert total == factorial(4) // factorial(2) * comb(3, 1)
 
 
 def test_cycle_fn():
-    assert cycle_fn(PartitionType((0, 0, 1))) == 2  # 3-cycles on 3 elements
-    assert cycle_fn(PartitionType(())) == 1
-    got = sum(cycle_fn(pt) for pt in partition_types(4, 2))
+    assert cycle_fn((0, 0, 1)) == 2  # 3-cycles on 3 elements
+    assert cycle_fn(()) == 1
+    got = sum(cycle_fn(r) for r in partition_types(4, 2))
     assert got == count_cycle_arrangements(4, 2) == 11
 
 
 def test_subset_fn():
-    assert subset_fn(PartitionType((1, 0, 1))) == 4
-    assert subset_fn(PartitionType((0, 2))) == 3
-    assert subset_fn(PartitionType((5,))) == 1
+    assert subset_fn((1, 0, 1)) == 4
+    assert subset_fn((0, 2)) == 3
+    assert subset_fn((5,)) == 1
 
 
 def test_stirling_fn_table_values():
     # types in P(4,2) carry the coefficients of the (3,1) polynomial
-    assert stirling_fn(PartitionType((1, 0, 1))) == -1
-    assert stirling_fn(PartitionType((0, 2))) == 3
+    assert stirling_fn((1, 0, 1)) == -1
+    assert stirling_fn((0, 2)) == 3
     # r1 = n-1 gives the leading +1 of the diagonal member
     for n in range(2, 8):
-        assert stirling_fn(PartitionType((n - 1,))) == 1
+        assert stirling_fn((n - 1,)) == 1
 
 
 def test_stirling_indices():
-    assert stirling_indices(PartitionType((0, 2))) == (3, 1)
-    assert stirling_indices(PartitionType((1, 0, 1))) == (3, 1)
+    # (0,2) and (1,0,1) make up P(4,2) = P(2n-1-k, n-1) at (n,k) = (3,1)
+    assert partition_types(4, 2) == [(0, 2), (1, 0, 1)]
     with pytest.raises(ValueError):
-        stirling_fn(PartitionType((0, 0, 2)))  # recovered k = -1
+        stirling_fn((0, 0, 2))  # recovered k = -1
 
 
 def test_first_kind_types_satisfy_r1_bound():
     for n in range(1, 13):
         for k in range(1, n + 1):
-            for pt in partition_types(2 * n - 1 - k, n - 1):
-                r1 = pt.r[0] if pt.r else 0
+            for r in partition_types(2 * n - 1 - k, n - 1):
+                r1 = r[0] if r else 0
                 assert r1 >= k - 1
 
 
 def test_cor63_identity_per_type():
     for n in range(1, 13):
         for k in range(1, n + 1):
-            for pt in partition_types(2 * n - 1 - k, n - 1):
-                r1 = pt.r[0] if pt.r else 0
-                lhs = comb(2 * n - 1 - k, r1) * stirling_fn(pt)
+            for r in partition_types(2 * n - 1 - k, n - 1):
+                r1 = r[0] if r else 0
+                lhs = comb(2 * n - 1 - k, r1) * stirling_fn(r)
                 sign = (-1) ** (n - 1 - r1)
-                rhs = sign * comb(2 * n - 2 - r1, k - 1) * subset_fn(pt)
+                rhs = sign * comb(2 * n - 2 - r1, k - 1) * subset_fn(r)
                 assert lhs == rhs
 
 
@@ -202,8 +203,8 @@ def test_weight_sums_match_number_tables():
     for n in range(16):
         for k in range(n + 1):
             types = partition_types(n, k)
-            assert sum(subset_fn(pt) for pt in types) == s2.value(n, k)
-            cycle_sum = sum(cycle_fn(pt) for pt in types)
+            assert sum(subset_fn(r) for r in types) == s2.value(n, k)
+            cycle_sum = sum(cycle_fn(r) for r in types)
             assert cycle_sum == c.value(n, k)
             assert (-1) ** (n - k) * cycle_sum == s1.value(n, k)
 
@@ -213,9 +214,9 @@ def test_all_functions_integral():
     # running them over a block of types exercises that
     for n in range(0, 16):
         for k in range(0, n + 1):
-            for pt in partition_types(n, k):
+            for r in partition_types(n, k):
                 for fn in (order_fn, cycle_fn, subset_fn):
-                    assert isinstance(fn(pt), int)
+                    assert isinstance(fn(r), int)
 
 
 def test_weight_guards_raise_under_optimize():
@@ -225,7 +226,6 @@ def test_weight_guards_raise_under_optimize():
         """
         import math, sys
         from mspkit import ptypes
-        from mspkit.ptypes import PartitionType
 
         if not sys.flags.optimize:
             sys.exit(3)
@@ -237,7 +237,7 @@ def test_weight_guards_raise_under_optimize():
         ]
         for fn, r in cases:
             try:
-                fn(PartitionType(r))
+                fn(r)
             except ValueError as exc:
                 print(exc)
         """
@@ -324,15 +324,16 @@ def oracle_stirling(r):
 def test_enumeration_matches_sorted_recursive_oracle():
     for n in range(31):
         for k in range(n + 2):
-            assert [pt.r for pt in partition_types(n, k)] == sorted_recursive_types(n, k)
+            assert partition_types(n, k) == sorted_recursive_types(n, k)
 
 
 def test_enumerated_vectors_are_trimmed_and_nonnegative():
     for n in range(31):
         for k in range(n + 1):
-            for pt in partition_types(n, k):
-                assert not pt.r or pt.r[-1] > 0
-                assert min(pt.r, default=0) >= 0
+            for r in partition_types(n, k):
+                assert type(r) is tuple
+                assert not r or r[-1] > 0
+                assert min(r, default=0) >= 0
 
 
 def test_weights_match_oracles_on_gen_rows():
@@ -340,28 +341,38 @@ def test_weights_match_oracles_on_gen_rows():
     # L, and P(2n-1-k, n-1) for S
     for n in range(1, 27):
         for k in range(1, n + 1):
-            for pt in partition_types(n, k):
-                assert order_fn(pt) == oracle_order(pt.r)
-                assert cycle_fn(pt) == oracle_cycle(pt.r)
-                assert subset_fn(pt) == oracle_subset(pt.r)
-            for pt in partition_types(2 * n - 1 - k, n - 1):
-                assert stirling_fn(pt) == oracle_stirling(pt.r)
-                assert stirling_indices(pt) == (n, k)
-
-
-def test_partition_type_constructor_still_validates():
-    with pytest.raises(ValueError, match="negative multiplicity"):
-        PartitionType((1, -1, 2))
-    with pytest.raises(ValueError, match="negative multiplicity"):
-        PartitionType((-1,))
-    assert PartitionType((0, 0)).r == ()
-    assert PartitionType((0, 3, 0)).r == (0, 3)
-    assert PartitionType(()).r == ()
-    assert PartitionType((0, 3, 0)) == PartitionType((0, 3))
+            for r in partition_types(n, k):
+                assert order_fn(r) == oracle_order(r)
+                assert cycle_fn(r) == oracle_cycle(r)
+                assert subset_fn(r) == oracle_subset(r)
+            for r in partition_types(2 * n - 1 - k, n - 1):
+                assert stirling_fn(r) == oracle_stirling(r)
+                assert sum(r) == n - 1
+                assert sum(j * x for j, x in enumerate(r, 1)) == 2 * n - 1 - k
 
 
 def test_stirling_fn_rejects_non_first_kind_type_with_k():
     with pytest.raises(ValueError, match=r"^0,0,2 is not a first-kind coefficient type \(k=-1\)$"):
-        stirling_fn(PartitionType((0, 0, 2)))
+        stirling_fn((0, 0, 2))
     with pytest.raises(ValueError, match=r"\(k=0\)"):
-        stirling_fn(PartitionType((0, 1, 1)))
+        stirling_fn((0, 1, 1))
+
+
+@pytest.mark.parametrize("fn", [order_fn, cycle_fn, subset_fn, stirling_fn])
+@pytest.mark.parametrize("r", [(1.5,), (True, 1), (0, 2.0), (1, -1, 2), (-1,)], ids=repr)
+def test_weight_functions_reject_non_types(fn, r):
+    # floats, bools and negative multiplicities are not partition types:
+    # (True, 1) must not weigh as (1, 1), nor (1, -1, 2) as a real type
+    with pytest.raises(ValueError, match="tuple of nonnegative ints"):
+        fn(r)
+
+
+def test_weight_functions_accept_trailing_zeros():
+    for fn in (order_fn, cycle_fn, subset_fn, stirling_fn):
+        assert fn((1, 0, 1, 0, 0)) == fn((1, 0, 1))
+
+
+def test_format_type():
+    assert format_type((1, 0, 2)) == "1,0,2"
+    assert format_type(()) == "0"
+    assert [format_type(r) for r in partition_types(4, 2)] == ["0,2", "1,0,1"]

@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from mspkit import series, stirling
+from mspkit.poly import MPoly
+from mspkit.ptypes import partition_types
 
 # ---------------------------------------------------------------------------
 # oracles: exhaustive set-partition enumeration via restricted growth strings
@@ -141,6 +143,27 @@ def test_negative_table_size_rejected(build):
         build(-1)
 
 
+SIZE_CASES = {
+    "partition_types n=2.0": lambda: partition_types(2.0, 1),
+    "partition_types n=True": lambda: partition_types(True, 1),
+    "partition_types k=True": lambda: partition_types(1, True),
+    "s1_table 2.5": lambda: stirling.s1_table(2.5),
+    "s1_table True": lambda: stirling.s1_table(True),
+    "assoc_s2_table 2.5": lambda: stirling.assoc_s2_table(2.5),
+    "convolution_table 2.0": lambda: stirling.convolution_table(2.0, [0, 1, 1, 1]),
+    "convolution_table True": lambda: stirling.convolution_table(True, [0, 1]),
+    "pow 2.0": lambda: (MPoly.var(1) + 1) ** 2.0,
+    "pow True": lambda: (MPoly.var(1) + 1) ** True,
+}
+
+
+@pytest.mark.parametrize("case", SIZE_CASES.values(), ids=SIZE_CASES.keys())
+def test_sizes_must_be_ints(case):
+    # a float size is a ValueError, not a TypeError, and a bool is not 0 or 1
+    with pytest.raises(ValueError, match="int"):
+        case()
+
+
 @pytest.mark.parametrize(
     "weight, table",
     [
@@ -150,7 +173,7 @@ def test_negative_table_size_rejected(build):
 )
 def test_convolution_table_gives_bell_values(weight, table):
     a = [0] + [weight(j - 1) for j in range(1, 13)]
-    assert stirling.convolution_table("B", 12, a).rows == table(12).rows
+    assert stirling.convolution_table(12, a).rows == table(12).rows
 
 
 def test_lah_signed_is_sign_times_unsigned():
