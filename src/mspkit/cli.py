@@ -2,9 +2,10 @@
 
 Subcommands: msp gen, stirling table, series {revert|compose|exp-transform},
 ptypes list, verify run.  All machine-readable output goes to stdout,
-diagnostics to stderr.  Exit status: 0 on success, 1 on a failed check or
-path disagreement, 2 on usage errors.  The environment variable
-MSPKIT_MAX_N (default 30) caps every depth argument as a safety valve.
+diagnostics to stderr.  Exit status: 0 on success, 1 on a failed check, a
+path disagreement or a reader that closed stdout early, 2 on usage errors.
+The environment variable MSPKIT_MAX_N (default 30) caps every depth argument
+as a safety valve.
 """
 
 from __future__ import annotations
@@ -289,6 +290,18 @@ def _cmd_verify_run(parser, args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    try:
+        status = _run(parser, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: point stdout at devnull, so that
+        # the interpreter's flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
+
+
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "msp":
         return _cmd_msp_gen(parser, args)
     if args.command == "stirling":

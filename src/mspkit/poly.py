@@ -1,15 +1,18 @@
 """Sparse multivariate polynomials with exact integer coefficients.
 
-A polynomial in the indeterminates X1, X2, ... is stored as a dict mapping
-exponent tuples to nonzero Python ints (arbitrary precision).  Exponent
-tuples are kept trimmed of trailing zeros, so the representation is
-canonical: two polynomials are equal iff their term dicts are equal.
+A polynomial in X1, X2, ... is stored as a dict mapping packed monomials to
+nonzero Python ints (arbitrary precision).  A packed monomial is one int
+whose 16-bit field j-1 holds the exponent of X_j, so the form is canonical
+(equal polynomials have equal dicts) and a monomial product is one addition:
 
-    3*X2^2 - X1*X3   ->   {(0, 2): 3, (1, 0, 1): -1}
+    3*X2^2 - X1*X3   ->   {2 << 16: 3, 1 + (1 << 32): -1}
 
-The zero polynomial is the empty dict.  Term iteration and serialization
-use graded lexicographic order (total degree first, then the exponent
-tuple), which makes every textual/JSON output deterministic.
+Every exponent is at most 32767 (2^15 - 1), so a sum of two fields never
+carries into the next; an exponent beyond that, from the constructor, a
+product or an X1 shift, raises ValueError.  The public API speaks exponent
+tuples trimmed of trailing zeros, and term iteration and serialization use
+graded lexicographic order (total degree first, then the exponent tuple),
+which makes every textual/JSON output deterministic.
 
 `LaurentX1` extends this with a single nonnegative power of X1 in the
 denominator; that is the only Laurent behaviour the library needs.
@@ -20,41 +23,63 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import chain
+from operator import getitem, or_
+from struct import Struct, error as StructError
 from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
+_MAX_EXPONENT = 2**15 - 1
+_FIELD = 0xFFFF  # one exponent field; the X1 field of a key is key & _FIELD
 
-def _trim(exps: Iterable[int]) -> Exponents:
-    """Drop trailing zeros from an exponent vector."""
-    t = tuple(exps)
-    while t and t[-1] == 0:
-        t = t[:-1]
-    return t
+
+class _Memo(dict):
+    """A dict that fills a missing entry with make(key)."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+# _CODECS[w] turns w exponents into the 2w little-endian bytes of a key and back
+_CODECS = _Memo(lambda w: Struct(f"<{w}H"))
+
+
+def _unpack(key: int) -> Exponents:
+    """The exponent tuple of a key, trimmed of trailing zeros."""
+    w = (key.bit_length() + 15) >> 4
+    return _CODECS[w].unpack(key.to_bytes(2 * w, "little"))
+
+
+def _check_fields(keys: Iterable[int], union: int) -> None:
+    """Raise if a field of a key (`union` is their OR) has its top bit set."""
+    top = int.from_bytes(b"\x00\x80" * (union.bit_length() // 16 + 1), "little")
+    if union & top:
+        bad = next(k for k in keys if k & top)
+        raise ValueError(f"exponent in {_unpack(bad)} exceeds {_MAX_EXPONENT}")
 
 
 _INT = {int}
 
 
-def _check_exponents(terms: Mapping[Exponents, int]) -> None:
-    """Every exponent is a nonnegative int (not a bool), checked before
-    trimming drops a trailing 0.0 or False; one pass over all keys at once
-    is cheaper than a check per key on the generators' large rows."""
-    flat = list(chain.from_iterable(terms))
-    if not _INT.issuperset(map(type, flat)):
-        bad = next(e for e in terms if not _INT.issuperset(map(type, e)))
-        raise ValueError(f"exponent in {bad!r} is not an int")
-    if flat and min(flat) < 0:
-        bad = next(e for e in terms if e and min(e) < 0)
-        raise ValueError(f"negative exponent in {bad}")
+def _check_exponents(terms: Iterable[Exponents]) -> None:
+    """Name the first key with a non-int, negative or too large exponent."""
+    for exps in terms:
+        if not _INT.issuperset(map(type, exps)):
+            raise ValueError(f"exponent in {exps!r} is not an int")
+    for exps in terms:
+        if exps and min(exps) < 0:
+            raise ValueError(f"negative exponent in {exps}")
+    bad = next(exps for exps in terms if exps and max(exps) > _MAX_EXPONENT)
+    raise ValueError(f"exponent in {bad} exceeds {_MAX_EXPONENT}")
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")
-
-
-def _grlex_key(exps: Exponents) -> tuple[int, Exponents]:
-    return (sum(exps), exps)
 
 
 class MPoly:
@@ -63,24 +88,27 @@ class MPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Exponents, int] | None = None):
-        store: dict[Exponents, int] = {}
+        store: dict[int, int] = {}
         if terms:
-            _check_exponents(terms)
-            for exps, coeff in terms.items():
-                if type(coeff) is not int:
-                    raise ValueError(f"coefficient {coeff!r} is not an int")
-                if coeff == 0:
-                    continue
-                # a tuple that ends in a nonzero entry (or is empty) is trimmed
-                if type(exps) is tuple and (not exps or exps[-1]):
-                    key = exps
-                else:
-                    key = _trim(exps)
-                c = store.get(key, 0) + coeff
-                if c:
-                    store[key] = c
-                else:
-                    store.pop(key, None)
+            # struct rejects floats, negatives and values >= 2^16 but takes bools
+            if not _INT.issuperset(map(type, chain.from_iterable(terms))):
+                _check_exponents(terms)
+            try:
+                keys = [int.from_bytes(_CODECS[len(e)].pack(*e), "little") for e in terms]
+            except StructError:
+                _check_exponents(terms)
+            _check_fields(keys, reduce(or_, keys))
+            coeffs = terms.values()
+            if not _INT.issuperset(map(type, coeffs)):
+                bad = next(c for c in coeffs if type(c) is not int)
+                raise ValueError(f"coefficient {bad!r} is not an int")
+            store = dict(zip(keys, coeffs))
+            # merge keys that differed only in trailing zeros, drop zeros
+            if len(store) < len(keys) or 0 in coeffs:
+                store = {}
+                for key, coeff in zip(keys, coeffs):
+                    store[key] = store.get(key, 0) + coeff
+                store = {key: c for key, c in store.items() if c}
         object.__setattr__(self, "_terms", store)
 
     def __setattr__(self, name, value):
@@ -99,14 +127,14 @@ class MPoly:
     def const(cls, c: int) -> MPoly:
         if type(c) is not int:
             raise ValueError(f"coefficient {c!r} is not an int")
-        return _raw({(): c} if c else {})
+        return _raw({0: c} if c else {})
 
     @classmethod
     def var(cls, j: int) -> MPoly:
         """The indeterminate X_j (1-based)."""
         if type(j) is not int or j < 1:
             raise ValueError(f"indeterminate index must be an int >= 1, got {j!r}")
-        return _raw({(0,) * (j - 1) + (1,): 1})
+        return _raw({1 << 16 * (j - 1): 1})
 
     @classmethod
     def monomial(cls, coeff: int, exps: Iterable[int]) -> MPoly:
@@ -126,21 +154,27 @@ class MPoly:
 
     def terms(self) -> list[tuple[Exponents, int]]:
         """Terms in graded-lex order."""
-        return sorted(self._terms.items(), key=lambda kv: _grlex_key(kv[0]))
+        terms = self._terms
+        exps = list(map(_unpack, terms))
+        return [(e, c) for _, e, c in sorted(zip(map(sum, exps), exps, terms.values()))]
 
     def coefficient(self, exps: Iterable[int]) -> int:
         exps = tuple(exps)
         if not _INT.issuperset(map(type, exps)):
             raise ValueError(f"exponent in {exps!r} is not an int")
-        return self._terms.get(_trim(exps), 0)
+        try:
+            key = int.from_bytes(_CODECS[len(exps)].pack(*exps), "little")
+        except StructError:  # a negative or huge exponent occurs in no term
+            return 0
+        return self._terms.get(key, 0)
 
     def width(self) -> int:
         """Largest indeterminate index occurring (0 for constants)."""
-        return max((len(e) for e in self._terms), default=0)
+        return (max(self._terms, default=0).bit_length() + 15) >> 4
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            return self._terms == ({(): other} if other else {})
+            return self._terms == ({0: other} if other else {})
         if not isinstance(other, MPoly):
             return NotImplemented
         return self._terms == other._terms
@@ -150,8 +184,8 @@ class MPoly:
         terms = self._terms
         if not terms:
             return hash(0)
-        if len(terms) == 1 and () in terms:
-            return hash(terms[()])
+        if len(terms) == 1 and 0 in terms:
+            return hash(terms[0])
         return hash(frozenset(terms.items()))
 
     # -- ring operations ---------------------------------------------------
@@ -162,12 +196,12 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            c = out.get(exps, 0) + coeff
+        for key, coeff in other._terms.items():
+            c = out.get(key, 0) + coeff
             if c:
-                out[exps] = c
+                out[key] = c
             else:
-                out.pop(exps, None)
+                out.pop(key, None)
         return _raw(out)
 
     __radd__ = __add__
@@ -188,21 +222,17 @@ class MPoly:
             return _raw({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, MPoly):
             return NotImplemented
-        out: dict[Exponents, int] = {}
+        out: dict[int, int] = {}
+        get = out.get
+        right = other._terms.items()
         for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                if len(ea) < len(eb):
-                    ea_p, eb_p = eb, ea
-                else:
-                    ea_p, eb_p = ea, eb
-                key = tuple(
-                    x + (eb_p[i] if i < len(eb_p) else 0) for i, x in enumerate(ea_p)
-                )
-                c = out.get(key, 0) + ca * cb
-                if c:
-                    out[key] = c
-                else:
-                    out.pop(key, None)
+            for eb, cb in right:
+                key = ea + eb
+                out[key] = get(key, 0) + ca * cb
+        if 0 in out.values():
+            out = {key: c for key, c in out.items() if c}
+        # operand fields are at most 2^15 - 1, so no sum carried
+        _check_fields(out, reduce(or_, out, 0))
         return _raw(out)
 
     __rmul__ = __mul__
@@ -227,15 +257,12 @@ class MPoly:
         """Formal partial derivative with respect to X_j (1-based)."""
         if type(j) is not int or j < 1:
             raise ValueError(f"indeterminate index must be an int >= 1, got {j!r}")
-        i = j - 1
-        out: dict[Exponents, int] = {}
-        for exps, coeff in self._terms.items():
-            if i >= len(exps) or exps[i] == 0:
-                continue
-            e = exps[i]
-            key = _trim(exps[:i] + (e - 1,) + exps[i + 1 :])
-            out[key] = out.get(key, 0) + coeff * e
-        return _raw(out)
+        if j > self.width():
+            return MPoly.zero()
+        shift = 16 * (j - 1)
+        unit = 1 << shift
+        return _raw({key - unit: coeff * e for key, coeff in self._terms.items()
+                     if (e := key >> shift & _FIELD)})
 
     def substitute(self, subs: Sequence[MPoly]) -> MPoly:
         """Substitute subs[j-1] for X_j, fully expanded.
@@ -249,7 +276,8 @@ class MPoly:
         # powers[j] caches subs[j]^e, filled on demand
         powers: list[list[MPoly]] = [[MPoly.const(1)] for _ in subs]
         total = MPoly.zero()
-        for exps, coeff in self.terms():
+        terms = self._terms
+        for exps, coeff in zip(map(_unpack, terms), terms.values()):
             term = MPoly.const(coeff)
             for i, e in enumerate(exps):
                 if e == 0:
@@ -263,15 +291,17 @@ class MPoly:
 
     def eval_rat(self, point: Sequence[Fraction | int]) -> Fraction:
         """Exact value at a rational point (point[j-1] is the value of X_j), as
-        a Fraction; int coordinates stay ints, so an all-int point sums in ints."""
+        a Fraction; every coordinate is an int or a Fraction, and an all-int
+        point sums in ints."""
         if self.width() > len(point):
-            raise ValueError(
-                f"point covers X1..X{len(point)} but X{self.width()} occurs"
-            )
-        xs = [x if type(x) is int else Fraction(x) for x in point]
+            raise ValueError(f"point covers X1..X{len(point)} but X{self.width()} occurs")
+        for x in point:
+            if type(x) is not int and not isinstance(x, Fraction):
+                raise ValueError(f"coordinate {x!r} is not an int or a Fraction")
         total = 0
-        for exps, coeff in self._terms.items():
-            for x, e in zip(xs, exps):
+        terms = self._terms
+        for exps, coeff in zip(map(_unpack, terms), terms.values()):
+            for x, e in zip(point, exps):
                 if e:
                     coeff *= x**e
             total += coeff
@@ -286,37 +316,35 @@ class MPoly:
         """
         if self.is_zero:
             raise ValueError("degree of the zero polynomial is undefined")
-        degs = {sum(e) for e in self._terms}
+        degs = set(map(sum, map(_unpack, self._terms)))
         return degs.pop() if len(degs) == 1 else None
 
     def isobaric_degree(self) -> int | None:
         """Common weight with X_j weighted j, or None if mixed."""
         if self.is_zero:
             raise ValueError("degree of the zero polynomial is undefined")
-        degs = {sum((i + 1) * e for i, e in enumerate(exps)) for exps in self._terms}
+        degs = {sum((i + 1) * e for i, e in enumerate(exps))
+                for exps in map(_unpack, self._terms)}
         return degs.pop() if len(degs) == 1 else None
 
     # -- X1 bookkeeping (support for LaurentX1) ----------------------------
 
     def min_x1_power(self) -> int:
         """Smallest exponent of X1 over all terms (0 for the zero polynomial)."""
-        if self.is_zero:
-            return 0
-        return min((e[0] if e else 0) for e in self._terms)
+        return min(map(_FIELD.__and__, self._terms), default=0)
 
     def shift_x1(self, m: int) -> MPoly:
         """Multiply by X1^m; m may be negative if every term allows it."""
         if type(m) is not int:
             raise ValueError(f"X1 shift {m!r} is not an int")
-        if m == 0:
+        terms = self._terms
+        if m == 0 or not terms:
             return self
-        out: dict[Exponents, int] = {}
-        for exps, coeff in self._terms.items():
-            e0 = (exps[0] if exps else 0) + m
-            if e0 < 0:
-                raise ValueError("not divisible by X1^%d" % -m)
-            out[_trim((e0,) + exps[1:])] = coeff
-        return _raw(out)
+        if m < 0 and min(map(_FIELD.__and__, terms)) < -m:
+            raise ValueError("not divisible by X1^%d" % -m)
+        if m > 0 and max(map(_FIELD.__and__, terms)) > _MAX_EXPONENT - m:
+            raise ValueError(f"exponent of X1 exceeds {_MAX_EXPONENT}")
+        return _raw({key + m: c for key, c in terms.items()})
 
     # -- rendering and serialization ---------------------------------------
 
@@ -330,11 +358,7 @@ class MPoly:
         return format_poly(self, latex=True)
 
     def to_json_dict(self) -> dict:
-        return {
-            "terms": [
-                {"coeff": str(c), "exponents": list(e)} for e, c in self.terms()
-            ]
-        }
+        return {"terms": [{"coeff": str(c), "exponents": list(e)} for e, c in self.terms()]}
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> MPoly:
@@ -355,7 +379,7 @@ class MPoly:
         return cls.from_json_dict(json.loads(text))
 
 
-def _raw(store: dict[Exponents, int]) -> MPoly:
+def _raw(store: dict[int, int]) -> MPoly:
     """Wrap an already-canonical term dict without re-checking."""
     p = MPoly.__new__(MPoly)
     object.__setattr__(p, "_terms", store)
@@ -368,16 +392,17 @@ def _raw(store: dict[Exponents, int]) -> MPoly:
 # ---------------------------------------------------------------------------
 
 
-def _monomial_str(exps: Exponents, latex: bool) -> str:
-    parts = []
-    for i, e in enumerate(exps):
-        if e == 0:
-            continue
-        if latex:
-            parts.append(f"X_{{{i + 1}}}" + (f"^{{{e}}}" if e > 1 else ""))
-        else:
-            parts.append(f"X{i + 1}" + (f"^{e}" if e > 1 else ""))
-    return ("" if latex else "*").join(parts)
+def _factor(i: int, latex: bool, e: int) -> str:
+    """The text of X_i^e, "" for e = 0."""
+    if not e:
+        return ""
+    if latex:
+        return f"X_{{{i}}}" + (f"^{{{e}}}" if e > 1 else "")
+    return f"X{i}" + (f"^{e}" if e > 1 else "")
+
+
+# _FACTORS[i, latex][e] is _factor(i, latex, e), made on first use
+_FACTORS = _Memo(lambda key: _Memo(partial(_factor, *key)))
 
 
 def join_terms(terms: Iterable[tuple[int | Fraction, str]], times: str = "*") -> str:
@@ -404,10 +429,10 @@ def join_terms(terms: Iterable[tuple[int | Fraction, str]], times: str = "*") ->
 
 
 def format_poly(p: MPoly, latex: bool = False) -> str:
-    return join_terms(
-        [(coeff, _monomial_str(exps, latex)) for exps, coeff in p.terms()],
-        "" if latex else "*",
-    )
+    tables = [_FACTORS[i, latex] for i in range(1, p.width() + 1)]
+    sep = "" if latex else "*"
+    return join_terms([(coeff, sep.join(filter(None, map(getitem, tables, exps))))
+                       for exps, coeff in p.terms()], sep)
 
 
 _FACTOR = r"X[1-9][0-9]*(?:\^[0-9]+)?"
@@ -430,17 +455,15 @@ def parse_poly(text: str) -> MPoly:
     terms: dict[Exponents, int] = {}
     for sep, tok in _TERM_RE.findall(s):
         coeff = -1 if "-" in sep else 1
-        exps: dict[int, int] = {}
+        vec: list[int] = []
         for factor in tok.split("*"):
             if factor[0] == "X":
                 base, _, power = factor.partition("^")
-                i = int(base[1:]) - 1
-                exps[i] = exps.get(i, 0) + (int(power) if power else 1)
+                j = int(base[1:])
+                vec += [0] * (j - len(vec))
+                vec[j - 1] += int(power) if power else 1
             else:
                 coeff *= int(factor)
-        vec = [0] * (max(exps) + 1 if exps else 0)
-        for i, e in exps.items():
-            vec[i] = e
         key = tuple(vec)
         terms[key] = terms.get(key, 0) + coeff
     return MPoly(terms)
@@ -521,9 +544,7 @@ class LaurentX1:
 
     def __add__(self, other: LaurentX1 | MPoly | int) -> LaurentX1:
         if isinstance(other, (MPoly, int)):
-            other = LaurentX1.from_poly(
-                other if isinstance(other, MPoly) else MPoly.const(other)
-            )
+            other = LaurentX1(other if isinstance(other, MPoly) else MPoly.const(other))
         if not isinstance(other, LaurentX1):
             return NotImplemented
         d = max(self._den, other._den)
@@ -548,16 +569,14 @@ class LaurentX1:
     __rmul__ = __mul__
 
     def eval_rat(self, point: Sequence[Fraction | int]) -> Fraction:
-        v = self._num.eval_rat(point)
-        if self._den:
-            x1 = Fraction(point[0])
-            v /= x1**self._den
-        return v
+        if self._den and (not point or point[0] == 0):
+            raise ValueError(f"X1 must be nonzero under the denominator X1^{self._den}")
+        return self._num.eval_rat(point) / (point[0] ** self._den if self._den else 1)
 
     def __str__(self) -> str:
-        if self._den == 0:
-            return format_poly(self._num)
         num = format_poly(self._num)
+        if self._den == 0:
+            return num
         if len(self._num) > 1:
             num = f"({num})"
         return f"{num}/X1" + (f"^{self._den}" if self._den > 1 else "")
@@ -572,9 +591,7 @@ class LaurentX1:
         return f"X_{{1}}^{{-{self._den}}}({self._num.to_latex()})"
 
     def to_json_dict(self) -> dict:
-        d = self._num.to_json_dict()
-        d["x1_den"] = self._den
-        return d
+        return {**self._num.to_json_dict(), "x1_den": self._den}
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> LaurentX1:

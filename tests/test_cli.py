@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -323,3 +325,28 @@ def test_verify_run_empty_selection_exits_2(capsys, only):
         cli.main(["verify", "run", "--max-n", "3", "--only", only])
     assert exc.value.code == 2
     assert "empty check selection" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # 134 kB of output overfills the pipe, so the CLI is still writing when
+    # the reader closes its end after one line
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["-m", "mspkit.cli", "msp", "gen", "--kind", "S", "--n", "22", "--force"]
+    proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout.readline().startswith(b"S[22,1] = ")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+def test_main_with_captured_stdout_is_unchanged():
+    # in-process callers that swap in a StringIO, as the benchmark does, get
+    # the printed text and the status, with no error from the final flush
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["ptypes", "list", "5", "2"])
+    assert (code, out.getvalue()) == (0, "0,1,1\n1,0,0,1\n")

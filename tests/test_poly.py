@@ -461,3 +461,221 @@ def test_partial_derivative_rejects_non_int_index(j):
 def test_shift_x1_rejects_non_int(m):
     with pytest.raises(ValueError, match="is not an int"):
         (X1 * X2**2).shift_x1(m)
+
+
+# ---------------------------------------------------------------------------
+# packed keys: every exponent is at most 2^15 - 1, so no product carries
+# ---------------------------------------------------------------------------
+
+LIMIT = 2**15 - 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MPoly({(LIMIT + 1,): 1}),
+        lambda: MPoly({(0, 2**16): 1}),
+        lambda: MPoly({(1, 0): 1, (0, 0, 10**6): 1}),
+        lambda: MPoly.monomial(1, (3, LIMIT + 1)),
+        lambda: X1 ** (LIMIT + 1),
+        lambda: (X1**20000) * (X1**20000),
+        lambda: MPoly({(LIMIT, LIMIT): 1}) ** 2,
+        lambda: (X2**16384) * (X1 * X2**16384),
+        lambda: X1.shift_x1(2**15),
+        lambda: (X2 * X1**LIMIT).shift_x1(1),
+        lambda: (X1**2).shift_x1(-3),
+        lambda: (X1**2 + X2).shift_x1(-1),
+    ],
+)
+def test_exponent_limit_raises(build):
+    with pytest.raises(ValueError, match="exceeds 32767|not divisible"):
+        build()
+
+
+def test_exponents_up_to_the_limit_work():
+    p = X1 ** LIMIT
+    assert p.terms() == [((LIMIT,), 1)]
+    assert (X1**16384) * (X1**16383) == p
+    assert (X1 * X3**LIMIT).shift_x1(LIMIT - 1) == MPoly.monomial(1, (LIMIT, 0, LIMIT))
+    assert p.shift_x1(-LIMIT) == 1
+    assert p.partial_derivative(1) == LIMIT * X1 ** (LIMIT - 1)
+    # full neighbouring fields stay apart
+    q = MPoly({(LIMIT, LIMIT, LIMIT): 2}) * MPoly.const(3)
+    assert q.terms() == [((LIMIT, LIMIT, LIMIT), 6)]
+    assert str(MPoly({(0, LIMIT // 2): 1}) ** 2) == f"X2^{LIMIT - 1}"
+    assert p.coefficient((LIMIT + 1,)) == p.coefficient((2**16,)) == 0
+
+
+def test_exponent_messages_unchanged():
+    with pytest.raises(ValueError) as exc:
+        MPoly({(1, 1.5): 2})
+    assert str(exc.value) == "exponent in (1, 1.5) is not an int"
+    with pytest.raises(ValueError) as exc:
+        MPoly({(2,): 1, (1, True): 2})
+    assert str(exc.value) == "exponent in (1, True) is not an int"
+    with pytest.raises(ValueError) as exc:
+        MPoly({(2,): 1, (1, -1, 0): 2})
+    assert str(exc.value) == "negative exponent in (1, -1, 0)"
+    with pytest.raises(ValueError) as exc:
+        MPoly({(0, LIMIT + 1): 1})
+    assert str(exc.value) == "exponent in (0, 32768) exceeds 32767"
+    with pytest.raises(ValueError) as exc:
+        MPoly({(0, 2**16): 1})
+    assert str(exc.value) == "exponent in (0, 65536) exceeds 32767"
+
+
+def test_substitute_does_not_sort(monkeypatch):
+    p = 3 * X2**2 - X1 * X3 + 7
+    want = p.substitute([X2, X1, X1 + X2])
+    monkeypatch.setattr(MPoly, "terms", None)
+    assert p.substitute([X2, X1, X1 + X2]) == want == 3 * X1**2 - X2 * X1 - X2**2 + 7
+
+
+# The tuple-keyed kernel that MPoly used before its keys were packed ints,
+# kept here as an independent oracle: term dicts map exponent tuples,
+# trimmed of trailing zeros, to nonzero ints.
+
+
+def _trim(exps):
+    t = tuple(exps)
+    while t and t[-1] == 0:
+        t = t[:-1]
+    return t
+
+
+def ref_canonical(terms):
+    out = {}
+    for exps, coeff in terms.items():
+        out = ref_add(out, {_trim(exps): coeff})
+    return out
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for exps, coeff in b.items():
+        c = out.get(exps, 0) + coeff
+        if c:
+            out[exps] = c
+        else:
+            out.pop(exps, None)
+    return out
+
+
+def ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            if len(ea) < len(eb):
+                ea_p, eb_p = eb, ea
+            else:
+                ea_p, eb_p = ea, eb
+            key = tuple(x + (eb_p[i] if i < len(eb_p) else 0) for i, x in enumerate(ea_p))
+            c = out.get(key, 0) + ca * cb
+            if c:
+                out[key] = c
+            else:
+                out.pop(key, None)
+    return out
+
+
+def ref_partial_derivative(a, j):
+    i = j - 1
+    out = {}
+    for exps, coeff in a.items():
+        if i >= len(exps) or exps[i] == 0:
+            continue
+        e = exps[i]
+        key = _trim(exps[:i] + (e - 1,) + exps[i + 1:])
+        out[key] = out.get(key, 0) + coeff * e
+    return out
+
+
+def ref_shift_x1(a, m):
+    out = {}
+    for exps, coeff in a.items():
+        e0 = (exps[0] if exps else 0) + m
+        if e0 < 0:
+            raise ValueError("not divisible by X1^%d" % -m)
+        out[_trim((e0,) + exps[1:])] = coeff
+    return out
+
+
+def ref_substitute(a, subs):
+    total = {}
+    for exps, coeff in a.items():
+        term = {(): coeff}
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                term = ref_mul(term, subs[i])
+        total = ref_add(total, term)
+    return total
+
+
+def _too_big(terms):
+    return any(e > LIMIT for exps in terms for e in exps)
+
+
+# exponents near 2^14 make some products cross the limit
+oracle_exponents = st.lists(
+    st.one_of(st.integers(0, 3), st.integers(16381, 16386)), max_size=5
+).map(tuple)
+oracle_terms = st.dictionaries(oracle_exponents, coefficients, max_size=5).map(ref_canonical)
+small_terms = st.dictionaries(
+    st.lists(st.integers(0, 2), max_size=3).map(tuple), coefficients, max_size=3
+).map(ref_canonical)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_terms, oracle_terms, st.integers(1, 6), st.integers(-4, 4))
+def test_kernels_match_tuple_oracle(a, b, j, m):
+    p, q = MPoly(a), MPoly(b)
+    assert dict(p.terms()) == a
+    want = ref_mul(a, b)
+    if _too_big(want):
+        with pytest.raises(ValueError, match="exceeds 32767"):
+            p * q
+    else:
+        assert dict((p * q).terms()) == want
+    assert dict(p.partial_derivative(j).terms()) == ref_partial_derivative(a, j)
+    try:
+        want = ref_shift_x1(a, m)
+    except ValueError:
+        with pytest.raises(ValueError, match="not divisible"):
+            p.shift_x1(m)
+    else:
+        if _too_big(want):
+            with pytest.raises(ValueError, match="exceeds 32767"):
+                p.shift_x1(m)
+        else:
+            assert dict(p.shift_x1(m).terms()) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_terms, st.lists(small_terms, min_size=3, max_size=3))
+def test_substitute_matches_tuple_oracle(a, subs):
+    got = MPoly(a).substitute([MPoly(s) for s in subs])
+    assert dict(got.terms()) == ref_substitute(a, subs)
+
+
+# ---------------------------------------------------------------------------
+# exact evaluation: int and Fraction coordinates only, no pole at X1 = 0
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "value, point",
+    [
+        (X1, [0.1]),
+        (X1, [True]),
+        (X1 * X2, [1, 2.0]),
+        (X1, [1, 0.5]),
+        (X1, ["1"]),
+        (LaurentX1(X1 + 1), [False]),
+        (LaurentX1(X2, 1), [0, 1]),
+        (LaurentX1(X2, 2), [Fraction(0), 1]),
+        (LaurentX1(MPoly.const(3), 1), []),
+    ],
+)
+def test_eval_rat_rejects_inexact_points_and_poles(value, point):
+    with pytest.raises(ValueError, match="is not an int or a Fraction|X1 must be nonzero"):
+        value.eval_rat(point)
