@@ -99,9 +99,8 @@ def _recursive(kind: str, n: int, k: int, cache: MspCache | None, seed: MPoly, s
             # (m-1, m) and (m-1, 0) lie outside the triangle: never stored
             prev = c.get(kind, m - 1, kk) if kk < m else zero
             low = c.get(kind, m - 1, kk - 1) if kk > 1 else zero
-            deriv = MPoly.zero()
-            for j in range(1, prev.width() + 1):
-                deriv = deriv + MPoly.var(j + 1) * prev.partial_derivative(j)
+            deriv = MPoly.sum_products((MPoly.var(j + 1), prev.partial_derivative(j), 1)
+                                       for j in range(1, prev.width() + 1))
             c.put(kind, m, kk, step(m, prev, low, deriv))
     return c.get(kind, n, k)  # type: ignore[return-value]
 
@@ -133,7 +132,8 @@ def complete_bell(n: int, cache: MspCache | None = None) -> MPoly:
     """Complete Bell polynomial, the sum of B_{n,k} over k = 1..n."""
     if type(n) is not int or n < 1:
         raise ValueError(f"complete Bell polynomials need an int n >= 1, got {n!r}")
-    return sum((family("B", n, k, cache) for k in range(1, n + 1)), MPoly.zero())
+    one = MPoly.const(1)
+    return MPoly.sum_products((family("B", n, k, cache), one, 1) for k in range(1, n + 1))
 
 
 def assoc_bell(n: int, k: int, cache: MspCache | None = None) -> MPoly:
@@ -180,12 +180,10 @@ def stirling_first_from_assoc(n: int, k: int, cache: MspCache | None = None) -> 
     sum_{r=k-1}^{n-1} (-1)^(n-1-r) C(2n-2-r, k-1) X1^r Bt_{2n-1-k-r, n-1-r}.
     """
     _check_triangle(n, k)
-    total = MPoly.zero()
-    for r, lead, _ in schloemilch_ladder(n, k):
-        part = family("Bt", 2 * n - 1 - k - r, n - 1 - r, cache)
-        if not part.is_zero:
-            total = total + part.shift_x1(r) * lead
-    return total
+    return MPoly.sum_products(
+        (family("Bt", 2 * n - 1 - k - r, n - 1 - r, cache), MPoly.monomial(1, (r,)), lead)
+        for r, lead, _ in schloemilch_ladder(n, k)
+    )
 
 
 def lie_first(n: int, k: int, cache: MspCache | None = None) -> LaurentX1:
@@ -207,11 +205,10 @@ def first_from_second_schloemilch(
     sum_r (-1)^(n-1-r) C(2n-2-r,k-1) C(2n-k,r+1-k) X1^(r-2n+1) B_{2n-1-k-r,n-1-r}.
     """
     _check_triangle(n, k)
-    total = MPoly.zero()
-    for r, lead, tail in schloemilch_ladder(n, k):
-        part = family("B", 2 * n - 1 - k - r, n - 1 - r, cache)
-        if not part.is_zero:
-            total = total + part.shift_x1(r) * (lead * tail)
+    total = MPoly.sum_products(
+        (family("B", 2 * n - 1 - k - r, n - 1 - r, cache), MPoly.monomial(1, (r,)), lead * tail)
+        for r, lead, tail in schloemilch_ladder(n, k)
+    )
     return LaurentX1(total, 2 * n - 1)
 
 
@@ -219,12 +216,14 @@ def second_from_first(n: int, k: int, cache: MspCache | None = None) -> MPoly:
     """The reverse Schloemilch-type expansion, rebuilding B_{n,k} from the
     Laurent first-kind family; the X1 denominators must cancel exactly."""
     _check_triangle(n, k)
-    total = LaurentX1.zero()
-    for r, lead, tail in schloemilch_ladder(n, k):
-        part = family("A", 2 * n - 1 - k - r, n - 1 - r, cache)
-        if not part.is_zero:
-            total = total + part * MPoly.monomial(lead * tail, (2 * n - 1 - r,))
-    return total.to_poly()
+    # part r is lead * tail * X1^(2n-1-r) * A_{2n-1-k-r, n-1-r}; over the
+    # common denominator X1^off its numerator is shifted by X1^(2n-1-r-den+off)
+    parts = [(family("A", 2 * n - 1 - k - r, n - 1 - r, cache), 2 * n - 1 - r, lead * tail)
+             for r, lead, tail in schloemilch_ladder(n, k)]
+    off = max(0, *(part.x1_den - m for part, m, _ in parts))
+    total = MPoly.sum_products((part.num, MPoly.monomial(1, (m - part.x1_den + off,)), c)
+                               for part, m, c in parts)
+    return LaurentX1(total, off).to_poly()
 
 
 def compose_transform(n: int, k: int, cache: MspCache | None = None) -> MPoly:
@@ -263,33 +262,27 @@ def convolution_recurrence(
     """
     _check_triangle(n, k)
     if kind in ("B", "Bt"):
-        total = MPoly.zero()
-        for j in range(1 if kind == "B" else 2, n - k + 2):
-            part = family(kind, n - j, k - 1, cache)
-            if not part.is_zero:
-                total = total + MPoly.var(j) * part * comb(n - 1, j - 1)
-        return total
+        return MPoly.sum_products(
+            (MPoly.var(j), family(kind, n - j, k - 1, cache), comb(n - 1, j - 1))
+            for j in range(1 if kind == "B" else 2, n - k + 2)
+        )
     if kind == "S":
         if k == 1:
             raise ValueError("the first-kind convolution needs column 1 as input")
-        total = MPoly.zero()
-        for j in range(1, n - k + 2):
-            left = family("S", j, 1, cache)
-            right = family("S", n - j, k - 1, cache)
-            if not left.is_zero and not right.is_zero:
-                total = total + left * right * comb(n - 1, j - 1)
+        total = MPoly.sum_products(
+            (family("S", j, 1, cache), family("S", n - j, k - 1, cache), comb(n - 1, j - 1))
+            for j in range(1, n - k + 2)
+        )
         return MPoly.var(1) * total
     raise ValueError(f"unknown convolution kind {kind!r} (expected B, S or Bt)")
 
 
 def _binomial_x1_sum(kind: str, sign: int, n: int, k: int, cache: MspCache | None) -> MPoly:
     """sum_{r=0}^{k} sign^r C(n,r) X1^r P_{n-r,k-r} over the family `kind`."""
-    total = MPoly.zero()
-    for r in range(k + 1):
-        part = family(kind, n - r, k - r, cache)
-        if not part.is_zero:
-            total = total + part.shift_x1(r) * (sign**r * comb(n, r))
-    return total
+    return MPoly.sum_products(
+        (family(kind, n - r, k - r, cache), MPoly.monomial(1, (r,)), sign**r * comb(n, r))
+        for r in range(k + 1)
+    )
 
 
 def cor45_expand(n: int, k: int, cache: MspCache | None = None) -> MPoly:
@@ -315,21 +308,21 @@ def snk1_nested(n: int, cache: MspCache | None = None) -> MPoly:
     """
     if type(n) is not int or n < 2:
         raise ValueError(f"the nested sum needs an int n >= 2, got {n!r}")
-    total = LaurentX1.zero()
-    indices = range(2, n)
-    for r in range(0, n - 1):
-        for chain in combinations(indices, r):
-            ladder = (1,) + chain + (n,)
-            prod = MPoly.const(1)
-            for lo, hi in zip(ladder, ladder[1:]):
-                prod = prod * bell_explicit(hi, lo, cache)
-            sign = -1 if r % 2 == 0 else 1
-            shift = (n - 2) - sum(chain)
-            term = LaurentX1(prod * sign, -shift if shift < 0 else 0)
-            if shift > 0:
-                term = term * MPoly.monomial(1, (shift,))
-            total = total + term
-    return total.to_poly()
+    # the longest chain, {2, ..., n-1}, has the most negative shift, -off
+    off = (n - 1) * (n - 2) // 2
+
+    def parts():
+        # (X1^(shift+off) times every Bell factor but the last, last factor, sign)
+        for r in range(0, n - 1):
+            for chain in combinations(range(2, n), r):
+                ladder = (1,) + chain + (n,)
+                bells = [bell_explicit(hi, lo, cache) for lo, hi in zip(ladder, ladder[1:])]
+                head = MPoly.monomial(1, ((n - 2) - sum(chain) + off,))
+                for factor in bells[:-1]:
+                    head = head * factor
+                yield head, bells[-1], -1 if r % 2 == 0 else 1
+
+    return LaurentX1(MPoly.sum_products(parts()), off).to_poly()
 
 
 # ---------------------------------------------------------------------------

@@ -14,18 +14,23 @@ tuples trimmed of trailing zeros, and term iteration and serialization use
 graded lexicographic order (total degree first, then the exponent tuple),
 which makes every textual/JSON output deterministic.
 
+The library's identities are sums of products of such polynomials.
+`MPoly.sum_products` forms one, the sum of c*a*b over triples (a, b, c),
+in a single dict, as in Monagan & Pearce (CASC 2007): each term pair adds
+into it, zero coefficients are dropped once at the end, and the exponent
+limit is checked once on the result.  An X1 shift by m is the factor X1^m.
+
 `LaurentX1` extends this with a single nonnegative power of X1 in the
 denominator; that is the only Laurent behaviour the library needs.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain
-from operator import getitem, or_
+from operator import getitem, mul, or_
 from struct import Struct, error as StructError
 from typing import Iterable, Mapping, Sequence
 
@@ -210,6 +215,8 @@ class MPoly:
         return _raw({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: MPoly | int) -> MPoly:
+        if isinstance(other, int):
+            other = MPoly.const(other)
         return self + (-other)
 
     def __rsub__(self, other: int) -> MPoly:
@@ -217,6 +224,8 @@ class MPoly:
 
     def __mul__(self, other: MPoly | int) -> MPoly:
         if isinstance(other, int):
+            if type(other) is not int:
+                raise ValueError(f"coefficient {other!r} is not an int")
             if other == 0:
                 return MPoly.zero()
             return _raw({e: c * other for e, c in self._terms.items()})
@@ -236,6 +245,35 @@ class MPoly:
         return _raw(out)
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sum_products(parts: Iterable[tuple[MPoly, MPoly, int]]) -> MPoly:
+        """The sum of c*a*b over the triples (a, b, c) of `parts`, with a and
+        b MPolys and c an int, accumulated in one dict.
+
+        An exponent above 32767 raises only if it survives in the sum.
+        """
+        out: dict[int, int] = {}
+        get = out.get
+        for a, b, c in parts:
+            if not isinstance(a, MPoly) or not isinstance(b, MPoly):
+                bad = b if isinstance(a, MPoly) else a
+                raise ValueError(f"factor {bad!r} is not an MPoly")
+            if type(c) is not int:
+                raise ValueError(f"coefficient {c!r} is not an int")
+            left, right = a._terms.items(), b._terms.items()
+            if len(left) > len(right):
+                left, right = right, left
+            for ea, ca in left:
+                ca *= c
+                for eb, cb in right:
+                    key = ea + eb
+                    out[key] = get(key, 0) + ca * cb
+        if 0 in out.values():
+            out = {key: c for key, c in out.items() if c}
+        # factor fields are at most 2^15 - 1, so no sum carried
+        _check_fields(out, reduce(or_, out, 0))
+        return _raw(out)
 
     def __pow__(self, n: int) -> MPoly:
         if type(n) is not int or n < 0:
@@ -273,21 +311,26 @@ class MPoly:
             raise ValueError(
                 f"substitution covers X1..X{len(subs)} but X{self.width()} occurs"
             )
+        one = MPoly.const(1)
         # powers[j] caches subs[j]^e, filled on demand
-        powers: list[list[MPoly]] = [[MPoly.const(1)] for _ in subs]
-        total = MPoly.zero()
-        terms = self._terms
-        for exps, coeff in zip(map(_unpack, terms), terms.values()):
-            term = MPoly.const(coeff)
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                cache = powers[i]
-                while len(cache) <= e:
-                    cache.append(cache[-1] * subs[i])
-                term = term * cache[e]
-            total = total + term
-        return total
+        powers: list[list[MPoly]] = [[one] for _ in subs]
+
+        def parts():
+            # each term is (product of all factors but the last, last factor,
+            # coefficient), so its full product is never built
+            terms = self._terms
+            for exps, coeff in zip(map(_unpack, terms), terms.values()):
+                factors = []
+                for i, e in enumerate(exps):
+                    if e:
+                        cache = powers[i]
+                        while len(cache) <= e:
+                            cache.append(cache[-1] * subs[i])
+                        factors.append(cache[e])
+                last = factors.pop() if factors else one
+                yield reduce(mul, factors) if factors else one, last, coeff
+
+        return MPoly.sum_products(parts())
 
     def eval_rat(self, point: Sequence[Fraction | int]) -> Fraction:
         """Exact value at a rational point (point[j-1] is the value of X_j), as
@@ -370,13 +413,6 @@ class MPoly:
                 coeff = int(coeff)
             terms[tuple(item["exponents"])] = coeff
         return cls(terms)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> MPoly:
-        return cls.from_json_dict(json.loads(text))
 
 
 def _raw(store: dict[int, int]) -> MPoly:
@@ -556,7 +592,9 @@ class LaurentX1:
     def __neg__(self) -> LaurentX1:
         return LaurentX1(-self._num, self._den)
 
-    def __sub__(self, other: LaurentX1) -> LaurentX1:
+    def __sub__(self, other: LaurentX1 | MPoly | int) -> LaurentX1:
+        if isinstance(other, int):
+            other = MPoly.const(other)
         return self + (-other)
 
     def __mul__(self, other: LaurentX1 | MPoly | int) -> LaurentX1:

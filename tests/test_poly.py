@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -206,7 +209,7 @@ def test_parse_round_trip_fixed():
 
 def test_json_round_trip():
     p = 945 * X1 * X2**4 - 840 * X1**2 * X2**2 * X3
-    assert MPoly.from_json(p.to_json()) == p
+    assert MPoly.from_json_dict(json.loads(json.dumps(p.to_json_dict()))) == p
     v = LaurentX1(p, 5)
     assert LaurentX1.from_json_dict(v.to_json_dict()) == v
 
@@ -233,6 +236,12 @@ points = st.lists(
 def test_add_mul_commute(a, b):
     assert a + b == b + a
     assert a * b == b * a
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys)
+def test_int_minus_poly(p):
+    assert 7 - p == -(p - 7)
 
 
 @settings(max_examples=40, deadline=None)
@@ -286,6 +295,26 @@ def test_non_int_coefficients_rejected(coeff):
         MPoly({(1,): coeff})
     with pytest.raises(ValueError, match="is not an int"):
         MPoly.const(coeff)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda: X1 * True,
+        lambda: True * X1,
+        lambda: X1 * False,
+        lambda: X1 - True,
+        lambda: True - X1,
+        lambda: X1 + True,
+        lambda: LaurentX1(X1, 2) * True,
+        lambda: True * LaurentX1(X1, 2),
+        lambda: LaurentX1(X1, 2) - True,
+        lambda: LaurentX1(X1, 2) + False,
+    ],
+)
+def test_scalar_operators_reject_bools(op):
+    with pytest.raises(ValueError, match=r"^coefficient (True|False) is not an int$"):
+        op()
 
 
 def test_keys_trimmed_and_checked_on_every_path():
@@ -655,6 +684,63 @@ def test_kernels_match_tuple_oracle(a, b, j, m):
 def test_substitute_matches_tuple_oracle(a, subs):
     got = MPoly(a).substitute([MPoly(s) for s in subs])
     assert dict(got.terms()) == ref_substitute(a, subs)
+
+
+# a list of (a, b, c) term-dict triples, each maybe followed by its negation
+# (b, a, -c), so that parts cancel, in shuffled order
+sum_parts = st.lists(
+    st.tuples(oracle_terms, oracle_terms, st.integers(-3, 3), st.booleans()), max_size=4
+).map(lambda ts: [p for a, b, c, neg in ts for p in [(a, b, c)] + [(b, a, -c)] * neg]
+      ).flatmap(st.permutations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sum_parts)
+def test_sum_products_matches_fold(parts):
+    want = {}
+    for a, b, c in parts:
+        want = ref_add(want, ref_mul(ref_mul(a, b), {(): c}))
+    factors = [(MPoly(a), MPoly(b), c) for a, b, c in parts]
+    if _too_big(want):
+        with pytest.raises(ValueError, match="exceeds 32767"):
+            MPoly.sum_products(factors)
+        return
+    got = MPoly.sum_products(iter(factors))
+    assert dict(got.terms()) == want
+    assert 0 not in got._terms.values()
+    try:
+        fold = reduce(add, (a * b * c for a, b, c in factors), MPoly.zero())
+    except ValueError:  # a product crossed the limit, and the sum cancels it
+        assert any(_too_big(ref_mul(a, b)) for a, b, _ in parts)
+    else:
+        assert got == fold
+
+
+def test_sum_products_cancels_and_takes_empty_input():
+    p, q = 3 * X1 * X2 - X3, X2**2 + 5
+    assert MPoly.sum_products([(p, q, 4), (q, p, -4)])._terms == {}
+    assert MPoly.sum_products([]) == MPoly.sum_products(iter(())) == MPoly.zero()
+    assert MPoly.sum_products([(p, q, 0)])._terms == {}
+    x1 = MPoly.monomial(1, (LIMIT,))
+    assert MPoly.sum_products([(x1, X1, 1), (X1, x1, -1), (p, q, 2)]) == 2 * p * q
+
+
+@pytest.mark.parametrize(
+    "part, message",
+    [
+        ((X1, 2, 1), "factor 2 is not an MPoly"),
+        ((3, X1, 1), "factor 3 is not an MPoly"),
+        ((LaurentX1(X2, 1), X1, 1), "factor LaurentX1(X2/X1) is not an MPoly"),
+        ((X1, X2, True), "coefficient True is not an int"),
+        ((X1, X2, 1.0), "coefficient 1.0 is not an int"),
+        ((X1, X2, Fraction(2)), "coefficient Fraction(2, 1) is not an int"),
+        ((X1, X2, "1"), "coefficient '1' is not an int"),
+    ],
+)
+def test_sum_products_rejects_bad_parts(part, message):
+    with pytest.raises(ValueError) as exc:
+        MPoly.sum_products([(X1, X2, 1), part])
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------

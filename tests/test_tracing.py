@@ -102,3 +102,49 @@ def test_tracer_sees_every_verify_suite_span(capsys):
     assert keys and all(r.passed for r in results)
     for key, b, a in zip(keys, before, after):
         assert a > b, key
+
+
+def test_tracer_sees_every_transforms_warm_span(capsys, monkeypatch):
+    # the same guard for transforms-warm: one op of each of the workload's
+    # transforms, snk1_nested and the two recursive generators, on a cache
+    # prefilled and warmed as the workload's set-up does, must make every
+    # span that perfbench/run.py requires there grow, so a kernel that stops
+    # calling into a traced layer fails here first
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    spec = importlib.util.spec_from_file_location("perfbench_run", TRACING.with_name("run.py"))
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    keys = [name.removesuffix(".calls") for name, workloads in run.MUST_CALL.items()
+            if "transforms-warm" in workloads]
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  TRACING.with_name("workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    mods = SimpleNamespace(
+        cli=cli, msp=msp, poly=poly, ptypes=ptypes, series=series, stirling=stirling, verify=verify
+    )
+
+    class SmallTransformsWarm(workloads.TransformsWarm):
+        NS = (6,)
+        NESTED_NS = (6,)
+
+    workload = SmallTransformsWarm(mods, seed=1)
+    ops = list({op[0]: op for op in workload.block(0)}.values())
+    labels = {op[0] for op in ops}
+    assert labels == {f[0] for f in workload.FAMILIES} | {"snk1_nested", *workload.RECURSIVE}
+    tracer = load_tracing().Tracer(mods)
+    tracer.install()
+    try:
+        before = [tracer.spans[key][0] for key in keys]
+        tracer.enabled = True
+        results = [workload.prepare(op)() for op in ops]
+        tracer.enabled = False
+        after = [tracer.spans[key][0] for key in keys]
+    finally:
+        tracer.uninstall()
+    assert "trace:" not in capsys.readouterr().err
+    assert all(workload.check(op, result)[0] for op, result in zip(ops, results))
+    assert workload.check_run() is None
+    assert keys
+    for key, b, a in zip(keys, before, after):
+        assert a > b, key
