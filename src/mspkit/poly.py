@@ -597,6 +597,11 @@ class LaurentX1:
             other = MPoly.const(other)
         return self + (-other)
 
+    def __rsub__(self, other: MPoly | int) -> LaurentX1:
+        if not isinstance(other, (MPoly, int)):
+            return NotImplemented
+        return -self + other
+
     def __mul__(self, other: LaurentX1 | MPoly | int) -> LaurentX1:
         if isinstance(other, (MPoly, int)):
             return LaurentX1(self._num * other, self._den)

@@ -7,7 +7,8 @@ the Fractions at t^0..t^n.  Reversion (the compositional inverse) needs
 f_1 != 0, which the subtype EgfCoeffs enforces and every inversion path
 checks; it is computed by three structurally independent paths:
 
-    revert_msp     signed coefficient sums over partition types P(2n-2, n-1)
+    revert_msp     the paper's signed coefficient sum over the partition
+                   types P(2n-2, n-1), regrouped by part size
     revert_comtet  alternating sums of associated Bell polynomials evaluated
                    at (0, f_2, ..., f_n) with exact negative powers of f_1
     revert_oracle  term-by-term solution of f(g(x)) = x by plain power-series
@@ -26,8 +27,12 @@ result is divided back once, exactly.
                                       B_{n,k} = sum_j C(n-1,j-1) g_j B_{n-j,k-1}
                                       (stirling.convolution_table)
     revert_msp, exp_transform_inverse S_{n,k}(f)/f_1^(2n-1) as the explicit
-                                      type sum over P(2n-1-k, n-1) with
-                                      stirling_fn weights
+                                      type sum over P(2n-1-k, n-1), regrouped
+                                      by part size into a memoized integer
+                                      recursion (_lie_values); it reads
+                                      neither the Prop 5.5 triangle nor a
+                                      symbolic family, so it shares no
+                                      computation with the other two paths
     revert_comtet                     the symbolic Bt_{n+k-1,k} (msp.assoc_bell)
                                       evaluated at the cleared integers
 """
@@ -36,10 +41,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, factorial, lcm
+from typing import Callable
 
 from . import msp
-from .ptypes import partition_types, stirling_fn
 from .stirling import convolution_table, recurrence_table
 
 
@@ -135,21 +140,65 @@ def _bell_triangle(g: Egf, order: int) -> tuple[int, tuple[tuple[int, ...], ...]
     return D, convolution_table(order, a).rows
 
 
-def _lie_value(n: int, k: int, D: int, a: list[int]) -> Fraction:
-    """S_{n,k}(f_1, ...) / f_1^(2n-1) by direct signed summation over
-    P(2n-1-k, n-1), on the cleared integers a_j = D*f_j.
+def _lie_values(D: int, a: list[int]) -> Callable[[int, int], Fraction]:
+    """value(n, k) = S_{n,k}(f_1, ...) / f_1^(2n-1) for 1 <= k <= n < len(a),
+    on the cleared integers a_j = D*f_j.
 
-    S_{n,k} is homogeneous of degree n-1, so the value is
-    total * D^n / a_1^(2n-1).
+    The explicit type sum over P(2n-1-k, n-1), regrouped by distributivity
+    over the part sizes.  With r_1 parts of size 1, the other l = n-1-r_1
+    parts hold m = 2n-1-k-r_1 elements and stirling_fn(r) factors as
+    (-1)^l C(m+k-1, k-1) m! / prod_{j>=2} r_j! (j!)^r_j, so the type sum is
+
+        sum_{r_1} (-1)^l C(m+k-1, k-1) a_1^r_1 T(2, m, l),
+
+    where T(j, m, l) sums prod_i a_i^r_i m! / prod_i r_i! (i!)^r_i over the
+    ways to split m elements into l parts of size >= j.  Choosing the r
+    parts of size j first gives T(j, m, l) = sum_r a_j^r c_r T(j+1, m-jr, l-r),
+    where c_r = prod_{i<=r} C(m-(i-1)j, j) / i counts those r blocks and is
+    an integer at every step.  T depends on neither n nor k, so one memo
+    serves every value taken from the returned function.  S_{n,k} is
+    homogeneous of degree n-1, so the value is the type sum * D^n / a_1^(2n-1).
     """
-    total = 0
-    for r in partition_types(2 * n - 1 - k, n - 1):
-        v = stirling_fn(r)
-        for j, x in enumerate(r, 1):
-            if x:
-                v *= a[j] ** x
-        total += v
-    return Fraction(total * D**n, a[1] ** (2 * n - 1))
+    memo: dict[tuple[int, int, int], int] = {}
+
+    def completions(j: int, m: int, l: int) -> int:
+        if l == 0:
+            return 1 if m == 0 else 0
+        if l == 1:
+            return a[m] if m >= j else 0  # one part, of size m
+        if m < j * l:
+            return 0
+        key = (j, m, l)
+        total = memo.get(key)
+        if total is not None:
+            return total
+        total = completions(j + 1, m, l)
+        aj = a[j]
+        if aj:
+            c = power = 1
+            rest = m
+            for r in range(1, l + 1):
+                c = c * comb(rest, j) // r
+                power *= aj
+                rest -= j
+                t = completions(j + 1, rest, l - r)
+                if t:
+                    total += c * power * t
+        memo[key] = total
+        return total
+
+    def value(n: int, k: int) -> Fraction:
+        total = 0
+        for r1 in range(k - 1, n):
+            l = n - 1 - r1
+            m = 2 * n - 1 - k - r1
+            t = completions(2, m, l)
+            if t:
+                t *= comb(m + k - 1, k - 1) * a[1] ** r1
+                total += -t if l & 1 else t
+        return Fraction(total * D**n, a[1] ** (2 * n - 1))
+
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +231,8 @@ def egf_compose(f: Egf, g: Egf, order: int | None = None) -> Egf:
 def revert_msp(f: Egf) -> EgfCoeffs:
     """Inverse coefficients from the Laurent first-kind family at k = 1."""
     _nonzero_f1(f)
-    D, a = _cleared(f, f.order)
-    return EgfCoeffs(tuple(_lie_value(n, 1, D, a) for n in range(1, f.order + 1)))
+    value = _lie_values(*_cleared(f, f.order))
+    return EgfCoeffs(tuple(value(n, 1) for n in range(1, f.order + 1)))
 
 
 def revert_comtet(f: Egf, cache: msp.MspCache | None = None) -> EgfCoeffs:
@@ -272,8 +321,8 @@ def exp_transform_inverse(f: Egf, order: int | None = None) -> list[tuple[Fracti
     first-kind values, without reverting."""
     _nonzero_f1(f)
     order = _check_order(f.order if order is None else order)
-    D, a = _cleared(f, order)
+    value = _lie_values(*_cleared(f, order))
     return [
-        (Fraction(0),) + tuple(_lie_value(n, k, D, a) for k in range(1, n + 1))
+        (Fraction(0),) + tuple(value(n, k) for k in range(1, n + 1))
         for n in range(1, order + 1)
     ]

@@ -244,6 +244,14 @@ def test_int_minus_poly(p):
     assert 7 - p == -(p - 7)
 
 
+def test_int_and_poly_minus_laurent():
+    v = LaurentX1(X2, 1)
+    assert 3 - v == -(v - 3) == LaurentX1(3 * X1 - X2, 1)
+    assert X2 - v == -(v - X2) == LaurentX1(X1 * X2 - X2, 1)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        "3" - v
+
+
 @settings(max_examples=40, deadline=None)
 @given(polys, polys, polys)
 def test_associativity_distributivity(a, b, c):
@@ -310,6 +318,7 @@ def test_non_int_coefficients_rejected(coeff):
         lambda: True * LaurentX1(X1, 2),
         lambda: LaurentX1(X1, 2) - True,
         lambda: LaurentX1(X1, 2) + False,
+        lambda: True - LaurentX1(X1, 2),
     ],
 )
 def test_scalar_operators_reject_bools(op):

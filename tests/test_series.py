@@ -15,7 +15,7 @@ from math import factorial
 
 import pytest
 
-from mspkit import msp, series
+from mspkit import msp, ptypes, series
 from mspkit.ptypes import partition_types, stirling_fn, subset_fn
 from mspkit.series import EgfCoeffs
 
@@ -473,19 +473,51 @@ class Forbidden:
         raise AssertionError(f"{self.name}.{attr} was used")
 
 
+def forbid(m, names):
+    """Make each name fail when used, in series and, for the partition-type
+    functions that series does not import, at their source in ptypes."""
+    for name in names:
+        for module in (series, ptypes):
+            if hasattr(module, name):
+                m.setattr(module, name, Forbidden(name))
+
+
 def test_reversion_paths_share_no_computation(monkeypatch):
     rng = random.Random("independence")
     fs = [sparse_egf(rng, order) for order in (1, 2, 7, 12)]
     want = [series.revert_msp(f) for f in fs]
     with monkeypatch.context() as m:
-        for name in ("msp", "partition_types", "stirling_fn", "convolution_table", "_cleared"):
-            m.setattr(series, name, Forbidden(name))
+        forbid(m, ("msp", "partition_types", "stirling_fn", "convolution_table", "_cleared",
+                   "_lie_values"))
         assert [series.revert_oracle(f) for f in fs] == want
         with pytest.raises(AssertionError, match="was"):
             series.revert_msp(fs[-1])
     with monkeypatch.context() as m:
-        for name in ("convolution_table", "_lie_value"):
-            m.setattr(series, name, Forbidden(name))
+        forbid(m, ("convolution_table", "_lie_values"))
         assert [series.revert_comtet(f, msp.MspCache()) for f in fs] == want
-        with pytest.raises(AssertionError, match="_lie_value was called"):
+        with pytest.raises(AssertionError, match="_lie_values was called"):
             series.revert_msp(fs[-1])
+    # the msp path reads neither Prop 5.5 nor any symbolic family or type list
+    with monkeypatch.context() as m:
+        forbid(m, ("msp", "convolution_table", "partition_types", "stirling_fn"))
+        assert [series.revert_msp(f) for f in fs] == want
+
+
+# ---------------------------------------------------------------------------
+# above the range of the per-type oracle
+# ---------------------------------------------------------------------------
+
+
+def test_revert_msp_matches_oracle_at_orders_25_to_40():
+    rng = random.Random("msp-oracle-25-40")
+    for order in range(25, 41):
+        f = sparse_egf(rng, order)
+        assert series.revert_msp(f) == series.revert_oracle(f), order
+
+
+def test_exp_transform_inverse_matches_reverted_transform_at_orders_17_to_24():
+    rng = random.Random("exp-inverse-17-24")
+    for order in range(17, 25):
+        f = sparse_egf(rng, order)
+        want = series.exp_transform(series.revert_oracle(f), order)
+        assert series.exp_transform_inverse(f, order) == want, order
