@@ -1,11 +1,16 @@
 """Command-line entry point.
 
 Subcommands: msp gen, stirling table, series {revert|compose|exp-transform},
-ptypes list, verify run.  All machine-readable output goes to stdout,
-diagnostics to stderr.  Exit status: 0 on success, 1 on a failed check, a
-path disagreement or a reader that closed stdout early, 2 on usage errors.
-The environment variable MSPKIT_MAX_N (default 30) caps every depth argument
-as a safety valve.
+ptypes list, verify run.  Each leaf parser names its handler with
+set_defaults(run=...), and main calls it.  All machine-readable output goes
+to stdout, diagnostics to stderr.  Exit status: 0 on success, 1 on a failed
+check, a path disagreement or a reader that closed stdout early, 2 on usage
+errors.
+
+One helper bounds every depth argument: at most the environment variable
+MSPKIT_MAX_N (default 30), a safety valve, and at least 1 for msp gen --n,
+--order and --max-n, else 0.  Another builds every series argument as an
+Egf truncated or zero-padded to --order.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=f"allow n beyond the default depth limit of {DEFAULT_GEN_DEPTH}",
     )
+    p_gen.set_defaults(run=_cmd_msp_gen)
 
     p_st = sub.add_parser("stirling", help="integer number tables")
     st_sub = p_st.add_subparsers(dest="subcommand", required=True)
@@ -75,6 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_table.add_argument("--n", type=int, required=True)
     p_table.add_argument("--format", default="text", choices=["text", "json", "csv"])
+    p_table.set_defaults(run=_cmd_stirling_table)
 
     p_series = sub.add_parser("series", help="exact EGF arithmetic")
     se_sub = p_series.add_subparsers(dest="subcommand", required=True)
@@ -84,19 +91,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_revert.add_argument(
         "--path", default="msp", choices=["msp", "comtet", "oracle", "all"]
     )
+    p_revert.set_defaults(run=_cmd_series_revert)
     p_compose = se_sub.add_parser("compose", help="composition f(g(x))")
     p_compose.add_argument("--f", type=_parse_coeffs, required=True)
     p_compose.add_argument("--g", type=_parse_coeffs, required=True)
     p_compose.add_argument("--order", type=int, required=True)
+    p_compose.set_defaults(run=_cmd_series_compose)
     p_exp = se_sub.add_parser("exp-transform", help="rows of exp(t*f)")
     p_exp.add_argument("--coeffs", type=_parse_coeffs, required=True)
     p_exp.add_argument("--order", type=int, required=True)
+    p_exp.set_defaults(run=_cmd_series_exp_transform)
 
     p_pt = sub.add_parser("ptypes", help="partition types")
     pt_sub = p_pt.add_subparsers(dest="subcommand", required=True)
     p_list = pt_sub.add_parser("list", help="list all (n,k)-partition types")
     p_list.add_argument("n", type=int)
     p_list.add_argument("k", type=int)
+    p_list.set_defaults(run=_cmd_ptypes_list)
 
     p_verify = sub.add_parser("verify", help="identity-check suite")
     ve_sub = p_verify.add_subparsers(dest="subcommand", required=True)
@@ -105,22 +116,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--only", default=None, help="comma-separated check ids")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--format", default="text", choices=["text", "json"])
+    p_run.set_defaults(run=_cmd_verify_run)
 
     return parser
 
 
-def _check_cap(parser: argparse.ArgumentParser, value: int, name: str):
+def _check_cap(parser: argparse.ArgumentParser, value: int, name: str, low: int = 0):
     cap = _max_n_cap(parser)
     if value > cap:
         parser.error(f"{name}={value} exceeds the MSPKIT_MAX_N cap ({cap})")
-    if value < 0:
-        parser.error(f"{name} must be nonnegative")
+    if value < low:
+        parser.error(f"{name} must be >= {low}")
+
+
+def _egf(
+    parser: argparse.ArgumentParser, coeffs: tuple[Fraction, ...], order: int, cls: type[series.Egf]
+) -> series.Egf:
+    """cls(coeffs) truncated or zero-padded to `order`; a bad series is a
+    usage error."""
+    try:
+        return cls(coeffs).truncate(order)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _cmd_msp_gen(parser, args) -> int:
-    _check_cap(parser, args.n, "n")
-    if args.n < 1:
-        parser.error("n must be >= 1: no family has a member at n = 0")
+    # no family has a member at n = 0
+    _check_cap(parser, args.n, "n", low=1)
     if args.n > DEFAULT_GEN_DEPTH and not args.force:
         parser.error(
             f"n={args.n} exceeds the default depth limit"
@@ -200,59 +222,34 @@ def _cmd_stirling_table(parser, args) -> int:
 
 
 def _cmd_series_revert(parser, args) -> int:
-    _check_cap(parser, args.order, "order")
-    if args.order < 1:
-        parser.error("order must be >= 1")
-    coeffs = args.coeffs[: args.order]
-    coeffs = coeffs + (Fraction(0),) * (args.order - len(coeffs))
-    try:
-        f = series.EgfCoeffs(coeffs)
-    except ValueError as exc:
-        parser.error(str(exc))
-    paths = {
-        "msp": series.revert_msp,
-        "comtet": series.revert_comtet,
-        "oracle": series.revert_oracle,
-    }
+    _check_cap(parser, args.order, "order", low=1)
+    f = _egf(parser, args.coeffs, args.order, series.EgfCoeffs)
+    paths = {"msp": series.revert_msp, "comtet": series.revert_comtet,
+             "oracle": series.revert_oracle}
     if args.path != "all":
-        result = paths[args.path](f)
-        print(json.dumps({"inverse": [str(v) for v in result]}))
+        paths = {args.path: paths[args.path]}
+    results = {name: [str(v) for v in fn(f)] for name, fn in paths.items()}
+    inverse, *rest = results.values()
+    if all(r == inverse for r in rest):
+        print(json.dumps({"inverse": inverse}))
         return 0
-    results = {name: fn(f) for name, fn in paths.items()}
-    values = list(results.values())
-    if values[0] == values[1] == values[2]:
-        print(json.dumps({"inverse": [str(v) for v in values[0]]}))
-        return 0
-    payload = {
-        "paths": {name: [str(v) for v in r] for name, r in results.items()}
-    }
-    print(json.dumps(payload))
+    print(json.dumps({"paths": results}))
     print("error: reversion paths disagree", file=sys.stderr)
     return 1
 
 
 def _cmd_series_compose(parser, args) -> int:
-    _check_cap(parser, args.order, "order")
-    if args.order < 1:
-        parser.error("order must be >= 1")
-    try:
-        f = series.Egf(args.f).truncate(args.order)
-        g = series.Egf(args.g).truncate(args.order)
-    except ValueError as exc:
-        parser.error(str(exc))
+    _check_cap(parser, args.order, "order", low=1)
+    f = _egf(parser, args.f, args.order, series.Egf)
+    g = _egf(parser, args.g, args.order, series.Egf)
     result = series.egf_compose(f, g, args.order)
     print(json.dumps({"composition": [str(v) for v in result]}))
     return 0
 
 
 def _cmd_series_exp_transform(parser, args) -> int:
-    _check_cap(parser, args.order, "order")
-    if args.order < 1:
-        parser.error("order must be >= 1")
-    try:
-        f = series.Egf(args.coeffs).truncate(args.order)
-    except ValueError as exc:
-        parser.error(str(exc))
+    _check_cap(parser, args.order, "order", low=1)
+    f = _egf(parser, args.coeffs, args.order, series.Egf)
     rows = series.exp_transform(f, args.order)
     print(json.dumps({"rows": [[str(c) for c in row] for row in rows]}))
     return 0
@@ -261,16 +258,14 @@ def _cmd_series_exp_transform(parser, args) -> int:
 def _cmd_ptypes_list(parser, args) -> int:
     _check_cap(parser, args.n, "n")
     if args.k < 0:
-        parser.error("k must be nonnegative")
+        parser.error("k must be >= 0")
     for r in partition_types(args.n, args.k):
         print(format_type(r))
     return 0
 
 
 def _cmd_verify_run(parser, args) -> int:
-    _check_cap(parser, args.max_n, "max-n")
-    if args.max_n < 1:
-        parser.error("max-n must be >= 1")
+    _check_cap(parser, args.max_n, "max-n", low=1)
     selection = None
     if args.only is not None:
         selection = [chunk.strip() for chunk in args.only.split(",") if chunk.strip()]
@@ -291,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        status = _run(parser, args)
+        status = args.run(parser, args)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout early: point stdout at devnull, so that
@@ -299,22 +294,6 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return status
-
-
-def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if args.command == "msp":
-        return _cmd_msp_gen(parser, args)
-    if args.command == "stirling":
-        return _cmd_stirling_table(parser, args)
-    if args.command == "series":
-        if args.subcommand == "revert":
-            return _cmd_series_revert(parser, args)
-        if args.subcommand == "compose":
-            return _cmd_series_compose(parser, args)
-        return _cmd_series_exp_transform(parser, args)
-    if args.command == "ptypes":
-        return _cmd_ptypes_list(parser, args)
-    return _cmd_verify_run(parser, args)
 
 
 if __name__ == "__main__":

@@ -61,6 +61,8 @@ def family(kind: str, n: int, k: int, cache: MspCache | None = None) -> CacheVal
     """Member (n, k) of the explicit family `kind` (S, B, Bt, L or A),
     extended by zero outside 1 <= k <= n with the (0,0) member equal to 1."""
     if not 1 <= k <= n:
+        if kind not in ("S", "B", "Bt", "L", "A"):
+            raise _unknown_family(kind)
         value = MPoly.const(1) if n == k == 0 else MPoly.zero()
         return LaurentX1.from_poly(value) if kind == "A" else value
     c = _DEFAULT_CACHE if cache is None else cache
@@ -76,8 +78,12 @@ def family(kind: str, n: int, k: int, cache: MspCache | None = None) -> CacheVal
         if kind == "Bt":
             types = [r for r in types if not (r and r[0])]
     else:
-        raise ValueError(f"unknown family kind {kind!r} (expected S, B, Bt, L or A)")
+        raise _unknown_family(kind)
     return c.put(kind, n, k, MPoly({r: weight(r) for r in types}))
+
+
+def _unknown_family(kind: str) -> ValueError:
+    return ValueError(f"unknown family kind {kind!r} (expected S, B, Bt, L or A)")
 
 
 def _recursive(kind: str, n: int, k: int, cache: MspCache | None, seed: MPoly, step):

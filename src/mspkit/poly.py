@@ -18,7 +18,8 @@ The library's identities are sums of products of such polynomials.
 `MPoly.sum_products` forms one, the sum of c*a*b over triples (a, b, c),
 in a single dict, as in Monagan & Pearce (CASC 2007): each term pair adds
 into it, zero coefficients are dropped once at the end, and the exponent
-limit is checked once on the result.  An X1 shift by m is the factor X1^m.
+limit is checked once on the result.  An X1 shift by m is the factor X1^m,
+and a plain product a*b is the single triple (a, b, 1).
 
 `LaurentX1` extends this with a single nonnegative power of X1 in the
 denominator; that is the only Laurent behaviour the library needs.
@@ -231,18 +232,7 @@ class MPoly:
             return _raw({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, MPoly):
             return NotImplemented
-        out: dict[int, int] = {}
-        get = out.get
-        right = other._terms.items()
-        for ea, ca in self._terms.items():
-            for eb, cb in right:
-                key = ea + eb
-                out[key] = get(key, 0) + ca * cb
-        if 0 in out.values():
-            out = {key: c for key, c in out.items() if c}
-        # operand fields are at most 2^15 - 1, so no sum carried
-        _check_fields(out, reduce(or_, out, 0))
-        return _raw(out)
+        return MPoly.sum_products(((self, other, 1),))
 
     __rmul__ = __mul__
 
@@ -521,6 +511,8 @@ class LaurentX1:
     __slots__ = ("_num", "_den")
 
     def __init__(self, num: MPoly, x1_den: int = 0):
+        if not isinstance(num, MPoly):
+            raise ValueError(f"numerator {num!r} is not an MPoly")
         if type(x1_den) is not int or x1_den < 0:
             raise ValueError(f"x1_den must be a nonnegative int, got {x1_den!r}")
         if num.is_zero:

@@ -60,7 +60,11 @@ class Egf:
     def __post_init__(self):
         if any(isinstance(c, (float, bool)) for c in self.coeffs):
             raise ValueError(f"coefficients must be exact, got {self.coeffs!r}")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        try:
+            coeffs = tuple(Fraction(c) for c in self.coeffs)
+        except (TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"coefficients must be exact rationals, got {self.coeffs!r}") from exc
+        object.__setattr__(self, "coeffs", coeffs)
         if not self.coeffs:
             raise ValueError("at least one coefficient is required")
 
@@ -293,8 +297,8 @@ def total_partitions_triangle(nmax: int) -> tuple[tuple[int, ...], ...]:
 
 def total_partitions_recurrence(nmax: int) -> list[int]:
     """t(1..nmax), the total-partition numbers, as row sums of the triangle."""
-    if nmax < 1:
-        raise ValueError("nmax must be >= 1")
+    if type(nmax) is not int or nmax < 1:
+        raise ValueError(f"nmax must be an int >= 1, got {nmax!r}")
     rows = total_partitions_triangle(nmax - 1)
     return [sum(rows[n - 1]) for n in range(1, nmax + 1)]
 

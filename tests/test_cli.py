@@ -350,3 +350,91 @@ def test_main_with_captured_stdout_is_unchanged():
     with contextlib.redirect_stdout(out):
         code = cli.main(["ptypes", "list", "5", "2"])
     assert (code, out.getvalue()) == (0, "0,1,1\n1,0,0,1\n")
+
+
+# ---------------------------------------------------------------------------
+# exact stdout on fixed inputs, and the size bounds of every command
+# ---------------------------------------------------------------------------
+
+REVERT_INVERSE = '{"inverse": ["1/2", "-1/24", "7/96", "-65/1152", "1745/13824"]}\n'
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        *[
+            (["series", "revert", "--coeffs", "2,1/3,-1", "--order", "5", "--path", path],
+             REVERT_INVERSE)
+            for path in ("msp", "comtet", "oracle", "all")
+        ],
+        (["series", "compose", "--f", "1,1/2,0,3", "--g", "2,-1", "--order", "5"],
+         '{"composition": ["2", "1", "-3", "99/2", "-240"]}\n'),
+        (["series", "exp-transform", "--coeffs", "1,-1/2,1/3", "--order", "4"],
+         '{"rows": [["0", "1"], ["0", "-1/2", "1"], ["0", "1/3", "-3/2", "1"],'
+         ' ["0", "0", "25/12", "-3", "1"]]}\n'),
+        (["stirling", "table", "--kind", "s1", "--n", "5"],
+         "n=0: 1\nn=1: 0 1\nn=2: 0 -1 1\nn=3: 0 2 -3 1\nn=4: 0 -6 11 -6 1\n"
+         "n=5: 0 24 -50 35 -10 1\n"),
+        (["stirling", "table", "--kind", "s2", "--n", "5"],
+         "n=0: 1\nn=1: 0 1\nn=2: 0 1 1\nn=3: 0 1 3 1\nn=4: 0 1 7 6 1\n"
+         "n=5: 0 1 15 25 10 1\n"),
+        (["stirling", "table", "--kind", "c", "--n", "5"],
+         "n=0: 1\nn=1: 0 1\nn=2: 0 1 1\nn=3: 0 2 3 1\nn=4: 0 6 11 6 1\n"
+         "n=5: 0 24 50 35 10 1\n"),
+        (["stirling", "table", "--kind", "assoc", "--n", "5"],
+         "n=0: 1\nn=1: 0 0\nn=2: 0 1 0\nn=3: 0 1 0 0\nn=4: 0 1 3 0 0\n"
+         "n=5: 0 1 10 0 0 0\n"),
+        (["stirling", "table", "--kind", "lah", "--n", "5"],
+         "n=0: 1\nn=1: 0 1\nn=2: 0 2 1\nn=3: 0 6 6 1\nn=4: 0 24 36 12 1\n"
+         "n=5: 0 120 240 120 20 1\n"),
+        (["stirling", "table", "--kind", "lah", "--n", "3", "--format", "json"],
+         '{"kind":"lah","n":3,"rows":[["1"],["0","1"],["0","2","1"],["0","6","6","1"]]}\n'),
+        (["stirling", "table", "--kind", "assoc", "--n", "2", "--format", "csv"],
+         "n,k,value\n0,0,1\n1,0,0\n1,1,0\n2,0,0\n2,1,1\n2,2,0\n"),
+        (["ptypes", "list", "7", "3"], "0,2,1\n1,0,2\n1,1,0,1\n2,0,0,0,1\n"),
+    ],
+)
+def test_stdout_pinned(capsys, argv, want):
+    assert run_cli(capsys, *argv)[:2] == (0, want)
+
+
+def test_series_revert_disagreement_report(capsys, monkeypatch):
+    monkeypatch.setattr(cli.series, "revert_oracle", lambda f: (0,) * f.order)
+    code, out, err = run_cli(
+        capsys, "series", "revert", "--coeffs", "1,1", "--order", "2", "--path", "all"
+    )
+    assert code == 1
+    assert out == '{"paths": {"msp": ["1", "-1"], "comtet": ["1", "-1"], "oracle": ["0", "0"]}}\n'
+    assert err == "error: reversion paths disagree\n"
+
+
+# each size argument, given as "{}" in argv, with a value below its lower
+# bound and, except k, one above the MSPKIT_MAX_N cap of 6
+SIZE_ARGS = {
+    "gen n": (["msp", "gen", "--kind", "B", "--n", "{}"], "n", 0),
+    "gen k": (["msp", "gen", "--kind", "B", "--n", "3", "--k", "{}"], "k", 0),
+    "table n": (["stirling", "table", "--kind", "s2", "--n", "{}"], "n", -1),
+    "revert order": (["series", "revert", "--coeffs", "1", "--order", "{}"], "order", 0),
+    "compose order": (["series", "compose", "--f", "1", "--g", "1", "--order", "{}"], "order", 0),
+    "exp-transform order": (["series", "exp-transform", "--coeffs", "1", "--order", "{}"],
+                            "order", 0),
+    "ptypes n": (["ptypes", "list", "{}", "2"], "n", -1),
+    "ptypes k": (["ptypes", "list", "4", "{}"], "k", -1),
+    "verify max-n": (["verify", "run", "--max-n", "{}"], "max-n", 0),
+}
+
+
+@pytest.mark.parametrize(
+    "label, value",
+    [(label, SIZE_ARGS[label][2]) for label in SIZE_ARGS]
+    + [(label, 7) for label in SIZE_ARGS if label not in ("gen k", "ptypes k")],
+)
+def test_size_arguments_out_of_bounds_exit_2(capsys, monkeypatch, label, value):
+    monkeypatch.setenv("MSPKIT_MAX_N", "6")
+    template, name, _ = SIZE_ARGS[label]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([str(value) if arg == "{}" else arg for arg in template])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert name in captured.err

@@ -453,6 +453,14 @@ def test_non_integer_x1_den_rejected(den):
         LaurentX1(X2, den)
 
 
+@pytest.mark.parametrize("num", [3, 0, Fraction(1, 2), None, "X1", LaurentX1.one()])
+def test_laurent_numerator_must_be_a_poly(num):
+    with pytest.raises(ValueError, match="is not an MPoly"):
+        LaurentX1(num)
+    with pytest.raises(ValueError, match="is not an MPoly"):
+        LaurentX1(num, 2)
+
+
 def test_laurent_operators_defer_on_foreign_operands():
     one = LaurentX1.one()
     for other in (Fraction(1, 2), 0.5, "x"):

@@ -234,6 +234,12 @@ def test_total_partitions_recurrence():
     assert [got.f(n) for n in range(1, 11)] == t
 
 
+@pytest.mark.parametrize("nmax", [True, False, "3", 3.0, 0])
+def test_total_partitions_recurrence_rejects_non_int_sizes(nmax):
+    with pytest.raises(ValueError, match="nmax must be an int >= 1"):
+        series.total_partitions_recurrence(nmax)
+
+
 def test_exp_transform_stirling_rows():
     ones = egf(*[1] * 6)
     rows = series.exp_transform(ones)
@@ -412,7 +418,7 @@ def test_orders_must_be_ints_at_least_one(name, order):
         ORDER_TAKERS[name](order)
 
 
-@pytest.mark.parametrize("bad", [0.1, 1.0, True, False])
+@pytest.mark.parametrize("bad", [0.1, 1.0, True, False, None, 1j, "1/0", object()])
 def test_egf_rejects_float_and_bool_coefficients(bad):
     for cls in (series.Egf, EgfCoeffs):
         with pytest.raises(ValueError, match="coefficients must be exact"):
