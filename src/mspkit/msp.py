@@ -10,9 +10,10 @@ cached by the single core `family(kind, n, k, cache)`:
     A    the Laurent family S_{n,k} / X1^(2n-1), derived from S
 
 `family` extends each kind by zero: 1 at (0,0) and 0 elsewhere outside
-1 <= k <= n (a LaurentX1 for A, an MPoly otherwise), uncached.  Members
-inside the triangle are memoised under (kind, n, k) in an append-only
-MspCache; a cache of None means the process-wide _DEFAULT_CACHE.
+1 <= k <= n (a LaurentX1 for A, an MPoly otherwise), uncached.  It takes
+only int indices (bool excluded), so (True, 1) never reads the (1, 1)
+entry.  Members inside the triangle are memoised under (kind, n, k) in an
+append-only MspCache; a cache of None means the process-wide _DEFAULT_CACHE.
 
 The public generators check that n and k are ints in range (k >= 0 for
 B and Bt, where B_{0,0} = 1 and B_{n,0} = 0; k >= 1 otherwise), with the
@@ -60,6 +61,8 @@ _DEFAULT_CACHE = MspCache()
 def family(kind: str, n: int, k: int, cache: MspCache | None = None) -> CacheValue:
     """Member (n, k) of the explicit family `kind` (S, B, Bt, L or A),
     extended by zero outside 1 <= k <= n with the (0,0) member equal to 1."""
+    if type(n) is not int or type(k) is not int:
+        _check_triangle(n, k)  # raises the generators' "indices must be ints"
     if not 1 <= k <= n:
         if kind not in ("S", "B", "Bt", "L", "A"):
             raise _unknown_family(kind)

@@ -13,14 +13,19 @@ checks; it is computed by three structurally independent paths:
                    at (0, f_2, ..., f_n) with exact negative powers of f_1
     revert_oracle  term-by-term solution of f(g(x)) = x by plain power-series
                    substitution in ordinary normalization, reading the
-                   powers of g from a table filled one degree at a time
+                   powers of g from an integer table filled one degree at
+                   a time
 
 The three must agree exactly; the verify module and the test suite compare
 them on random rational inputs.
 
 Numeric values of the polynomial families run on Python ints: the inputs
 are scaled to a_j = D*f_j, with D the lcm of their denominators, and each
-result is divided back once, exactly.
+result is divided back once, exactly.  The oracle also runs on ints but
+clears its own denominators: it scales the ordinary coefficients f_n/n!
+rather than f_n, and multiplies each table entry by the power of
+A_1 = L*f_1 that makes it an integer (see revert_oracle).  It calls none of
+the helpers below, so it still shares no computation with the other paths.
 
     egf_compose, exp_transform        B_{n,k}(g) read from one triangle built
                                       by the Prop 5.5 convolution
@@ -42,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
+from operator import mul
 from typing import Callable
 
 from . import msp
@@ -58,6 +64,8 @@ class Egf:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if not isinstance(self.coeffs, (tuple, list)):
+            raise ValueError(f"coefficients must be a tuple or list, got {self.coeffs!r}")
         if any(isinstance(c, (float, bool)) for c in self.coeffs):
             raise ValueError(f"coefficients must be exact, got {self.coeffs!r}")
         try:
@@ -80,6 +88,8 @@ class Egf:
 
     def f(self, n: int) -> Fraction:
         """f_n, with f_0 = 0 and zero beyond the truncation order."""
+        if type(n) is not int:
+            raise ValueError(f"index must be an int, got {n!r}")
         if n < 1 or n > len(self.coeffs):
             return Fraction(0)
         return self.coeffs[n - 1]
@@ -100,9 +110,16 @@ def _check_order(order: int) -> int:
     return order
 
 
+def _check_egf(f: Egf) -> Egf:
+    """f itself, if it is a series (an Egf)."""
+    if not isinstance(f, Egf):
+        raise ValueError(f"series must be an Egf, got {f!r}")
+    return f
+
+
 def _nonzero_f1(f: Egf) -> Fraction:
     """f_1, which every inverse of f divides by."""
-    if f.f(1) == 0:
+    if _check_egf(f).f(1) == 0:
         raise ValueError("f_1 must be nonzero")
     return f.f(1)
 
@@ -212,6 +229,8 @@ def _lie_values(D: int, a: list[int]) -> Callable[[int, int], Fraction]:
 
 def egf_compose(f: Egf, g: Egf, order: int | None = None) -> Egf:
     """Composition f(g(x)) to the given order via h_n = sum_k B_{n,k}(g) f_k."""
+    _check_egf(f)
+    _check_egf(g)
     order = _check_order(min(f.order, g.order) if order is None else order)
     D, T = _bell_triangle(g, order)
     E, b = _cleared(f, order)
@@ -263,24 +282,36 @@ def revert_comtet(f: Egf, cache: msp.MspCache | None = None) -> EgfCoeffs:
 
 
 def revert_oracle(f: Egf) -> EgfCoeffs:
-    """Inverse coefficients by solving f(g(x)) = x degree by degree.
+    """Inverse coefficients by solving F(G(x)) = x degree by degree.
 
-    Works in ordinary normalization a_n = f_n/n! with the power table
-    P[m][n] = [x^n] g(x)^m (Knuth, TAOCP vol. 2, sec. 4.7).  For m >= 2,
-    P[m][n] = sum_{i=1}^{n-m+1} b_i P[m-1][n-i] needs only b_1..b_{n-1}, so
-    each degree fills one column, then solves sum_m a_m P[m][n] = 0 for b_n.
+    Works in ordinary normalization on integers of its own: with L the lcm
+    of the denominators of f_n/n!, F = sum A_n x^n has A_n = L f_n/n!, and
+    the inverse of f is G(Lx) for G the inverse of F.  Each [x^n] G is
+    beta_n / A_1^(2n-1) with beta_n an integer (beta_1 = 1), and the power
+    table P[m][n] = [x^n] G(x)^m * A_1^(2n-m) holds integers too (Knuth,
+    TAOCP vol. 2, sec. 4.7).  For m >= 2, P[m][n] = sum_i beta_i P[m-1][n-i]
+    needs only beta_1..beta_{n-1}, so each degree fills one column, then
+    solves sum_m A_m [x^n] G^m = 0 as beta_n = -sum_{m>=2} A_m A_1^(m-2) P[m][n].
+    Each output f-bar_n = n! L^n beta_n / A_1^(2n-1) is one exact division.
     """
     _nonzero_f1(f)
     N = f.order
-    a = [Fraction(0)] + [f.f(n) / factorial(n) for n in range(1, N + 1)]
-    b = [Fraction(0), 1 / a[1]]
-    P = [None, b]  # P[m][j] = [x^j] g(x)^m, zero below j = m
+    ordinary = [f.f(n) / factorial(n) for n in range(1, N + 1)]
+    L = lcm(*(c.denominator for c in ordinary))
+    A = [0] + [c.numerator * (L // c.denominator) for c in ordinary]
+    A1 = A[1]
+    weight = [0, 0] + [A[m] * A1 ** (m - 2) for m in range(2, N + 1)]
+    beta = [0, 1]
+    P = [None, beta]  # P[m][j], zero below j = m; row 1 is beta itself
     for n in range(2, N + 1):
-        P.append([Fraction(0)] * n)
+        P.append([0] * n)
         for m in range(2, n + 1):
-            P[m].append(sum(b[i] * P[m - 1][n - i] for i in range(1, n - m + 2) if b[i]))
-        b.append(-sum(a[m] * P[m][n] for m in range(2, n + 1) if a[m]) / a[1])
-    return EgfCoeffs(tuple(b[n] * factorial(n) for n in range(1, N + 1)))
+            # beta_1..beta_{n-m+1} against P[m-1][n-1] down to P[m-1][m-1]
+            P[m].append(sum(map(mul, beta[1 : n - m + 2], P[m - 1][n - 1 : m - 2 : -1])))
+        beta.append(-sum(weight[m] * P[m][n] for m in range(2, n + 1) if weight[m]))
+    return EgfCoeffs(
+        tuple(Fraction(factorial(n) * L**n * beta[n], A1 ** (2 * n - 1)) for n in range(1, N + 1))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +342,7 @@ def total_partitions_egf(order: int) -> EgfCoeffs:
 def exp_transform(f: Egf, order: int | None = None) -> list[tuple[Fraction, ...]]:
     """Rows n = 1..order of the expansion of exp(t*f); row n holds the
     coefficients of t^0..t^n, the t^k one being B_{n,k}(f_1, ..., f_{n-k+1})."""
+    _check_egf(f)
     order = _check_order(f.order if order is None else order)
     D, T = _bell_triangle(f, order)
     return [

@@ -228,6 +228,16 @@ def test_family_zero_extension_is_uncached():
     assert len(cache) == 0
 
 
+@pytest.mark.parametrize("n, k", [("3", 1), (3, "1"), (True, 1), (1, True), (2.0, 1), (None, 0)])
+def test_family_rejects_non_int_indices_like_generate(n, k):
+    cache = msp.MspCache()
+    msp.family("S", 1, 1, cache)  # a warm (1, 1) member must not answer for (True, 1)
+    for call in (msp.family, msp.generate):
+        with pytest.raises(ValueError, match="indices must be ints"):
+            call("S", n, k, cache)
+    assert len(cache) == 1
+
+
 def test_complete_bell_sums_cached_members():
     cache = msp.MspCache()
     assert msp.complete_bell(5, cache).eval_rat([1] * 5) == 52

@@ -427,6 +427,39 @@ def test_egf_rejects_float_and_bool_coefficients(bad):
     assert series.Egf((1, "1/10", F(1, 10))).coeffs == (F(1), F(1, 10), F(1, 10))
 
 
+@pytest.mark.parametrize("bad", [3, None, "12", {1: 2}, iter((1, 2))])
+def test_egf_rejects_coefficient_containers_that_are_not_sequences(bad):
+    for cls in (series.Egf, EgfCoeffs):
+        with pytest.raises(ValueError, match="coefficients must be a tuple or list"):
+            cls(bad)
+    assert series.Egf([1, 2]) == egf(1, 2)
+
+
+@pytest.mark.parametrize("n", [1.5, 1.0, True, False, "1", None])
+def test_egf_index_must_be_an_int(n):
+    with pytest.raises(ValueError, match="index must be an int"):
+        egf(1, 2).f(n)
+
+
+SERIES_TAKERS = {
+    "revert_msp": series.revert_msp,
+    "revert_comtet": series.revert_comtet,
+    "revert_oracle": series.revert_oracle,
+    "egf_compose f": lambda f: series.egf_compose(f, egf(1, 2), 2),
+    "egf_compose g": lambda g: series.egf_compose(egf(1, 2), g, 2),
+    "exp_transform": series.exp_transform,
+    "exp_transform order": lambda f: series.exp_transform(f, 2),
+    "exp_transform_inverse": series.exp_transform_inverse,
+}
+
+
+@pytest.mark.parametrize("bad", [3, None, (1, 2), [F(1)]])
+@pytest.mark.parametrize("name", sorted(SERIES_TAKERS))
+def test_series_arguments_must_be_egfs(name, bad):
+    with pytest.raises(ValueError, match="series must be an Egf"):
+        SERIES_TAKERS[name](bad)
+
+
 # ---------------------------------------------------------------------------
 # the three reversion paths at the benchmark's orders
 # ---------------------------------------------------------------------------
@@ -464,6 +497,36 @@ def test_revert_comtet_matches_both_at_orders_9_to_14():
         want = series.revert_msp(f)
         assert series.revert_oracle(f) == want, order
         assert series.revert_comtet(f, msp.MspCache()) == want, order
+
+
+def fraction_power_table_oracle(f: EgfCoeffs) -> EgfCoeffs:
+    """The power-table solve of f(g(x)) = x done in Fractions throughout:
+    P[m][n] = [x^n] g(x)^m in ordinary normalization, filled one degree at a
+    time, then sum_m a_m P[m][n] = 0 solved for b_n."""
+    N = f.order
+    a = [F(0)] + [f.f(n) / factorial(n) for n in range(1, N + 1)]
+    b = [F(0), 1 / a[1]]
+    P = [None, b]
+    for n in range(2, N + 1):
+        P.append([F(0)] * n)
+        for m in range(2, n + 1):
+            P[m].append(sum(b[i] * P[m - 1][n - i] for i in range(1, n - m + 2) if b[i]))
+        b.append(-sum(a[m] * P[m][n] for m in range(2, n + 1) if a[m]) / a[1])
+    return EgfCoeffs(tuple(b[n] * factorial(n) for n in range(1, N + 1)))
+
+
+def test_revert_oracle_matches_fraction_power_table_at_orders_1_to_40():
+    rng = random.Random("oracle-fractions-1-40")
+    for order in range(1, 41):
+        f = sparse_egf(rng, order)
+        assert series.revert_oracle(f) == fraction_power_table_oracle(f), order
+    named = {
+        "ones": egf(*[1] * 40),
+        "rooted trees": egf(*[(-1) ** (j - 1) * j for j in range(1, 41)]),
+        "total partitions": series.total_partitions_egf(40),
+    }
+    for name, f in named.items():
+        assert series.revert_oracle(f) == fraction_power_table_oracle(f), name
 
 
 class Forbidden:
