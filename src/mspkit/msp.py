@@ -67,7 +67,7 @@ def family(kind: str, n: int, k: int, cache: MspCache | None = None) -> CacheVal
         if kind not in ("S", "B", "Bt", "L", "A"):
             raise _unknown_family(kind)
         value = MPoly.const(1) if n == k == 0 else MPoly.zero()
-        return LaurentX1.from_poly(value) if kind == "A" else value
+        return LaurentX1(value) if kind == "A" else value
     c = _DEFAULT_CACHE if cache is None else cache
     hit = c.get(kind, n, k)
     if hit is not None:
@@ -232,7 +232,7 @@ def second_from_first(n: int, k: int, cache: MspCache | None = None) -> MPoly:
     off = max(0, *(part.x1_den - m for part, m, _ in parts))
     total = MPoly.sum_products((part.num, MPoly.monomial(1, (m - part.x1_den + off,)), c)
                                for part, m, c in parts)
-    return LaurentX1(total, off).to_poly()
+    return total.shift_x1(-off)
 
 
 def compose_transform(n: int, k: int, cache: MspCache | None = None) -> MPoly:
@@ -255,9 +255,7 @@ def compose_transform_second(
     _check_triangle(n, k)
     subs = [stirling_first_explicit(j, 1, cache) for j in range(1, n - k + 2)]
     inner = stirling_first_explicit(n, k, cache).substitute(subs)
-    if 2 * k >= n:
-        return LaurentX1.from_poly(inner.shift_x1(2 * k - n))
-    return LaurentX1(inner, n - 2 * k)
+    return LaurentX1(inner.shift_x1(max(2 * k - n, 0)), max(n - 2 * k, 0))
 
 
 def convolution_recurrence(
@@ -331,7 +329,7 @@ def snk1_nested(n: int, cache: MspCache | None = None) -> MPoly:
                     head = head * factor
                 yield head, bells[-1], -1 if r % 2 == 0 else 1
 
-    return LaurentX1(MPoly.sum_products(parts()), off).to_poly()
+    return MPoly.sum_products(parts()).shift_x1(-off)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +351,6 @@ KINDS = tuple(_GENERATORS)
 
 def generate(kind: str, n: int, k: int, cache: MspCache | None = None) -> CacheValue:
     """Dispatch on the kind tag; `Bn` ignores k."""
-    if kind not in _GENERATORS:
+    if not isinstance(kind, str) or kind not in _GENERATORS:
         raise ValueError(f"unknown kind {kind!r} (expected one of {', '.join(KINDS)})")
     return _GENERATORS[kind](n, k, cache)

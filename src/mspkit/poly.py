@@ -74,8 +74,11 @@ _INT = {int}
 
 
 def _check_exponents(terms: Iterable[Exponents]) -> None:
-    """Name the first key with a non-int, negative or too large exponent."""
+    """Name the first key that is not a tuple or has a non-int, negative or
+    too large exponent."""
     for exps in terms:
+        if not isinstance(exps, tuple):
+            raise ValueError(f"monomial {exps!r} is not a tuple of exponents")
         if not _INT.issuperset(map(type, exps)):
             raise ValueError(f"exponent in {exps!r} is not an int")
     for exps in terms:
@@ -83,9 +86,6 @@ def _check_exponents(terms: Iterable[Exponents]) -> None:
             raise ValueError(f"negative exponent in {exps}")
     bad = next(exps for exps in terms if exps and max(exps) > _MAX_EXPONENT)
     raise ValueError(f"exponent in {bad} exceeds {_MAX_EXPONENT}")
-
-
-_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 class MPoly:
@@ -97,7 +97,11 @@ class MPoly:
         store: dict[int, int] = {}
         if terms:
             # struct rejects floats, negatives and values >= 2^16 but takes bools
-            if not _INT.issuperset(map(type, chain.from_iterable(terms))):
+            try:
+                all_int = _INT.issuperset(map(type, chain.from_iterable(terms)))
+            except TypeError:  # a key that is not iterable
+                all_int = False
+            if not all_int:
                 _check_exponents(terms)
             try:
                 keys = [int.from_bytes(_CODECS[len(e)].pack(*e), "little") for e in terms]
@@ -144,7 +148,11 @@ class MPoly:
 
     @classmethod
     def monomial(cls, coeff: int, exps: Iterable[int]) -> MPoly:
-        return cls({tuple(exps): coeff})
+        try:
+            exps = tuple(exps)
+        except TypeError:
+            raise ValueError(f"monomial {exps!r} is not a tuple of exponents") from None
+        return cls({exps: coeff})
 
     # -- basic queries -----------------------------------------------------
 
@@ -163,16 +171,6 @@ class MPoly:
         terms = self._terms
         exps = list(map(_unpack, terms))
         return [(e, c) for _, e, c in sorted(zip(map(sum, exps), exps, terms.values()))]
-
-    def coefficient(self, exps: Iterable[int]) -> int:
-        exps = tuple(exps)
-        if not _INT.issuperset(map(type, exps)):
-            raise ValueError(f"exponent in {exps!r} is not an int")
-        try:
-            key = int.from_bytes(_CODECS[len(exps)].pack(*exps), "little")
-        except StructError:  # a negative or huge exponent occurs in no term
-            return 0
-        return self._terms.get(key, 0)
 
     def width(self) -> int:
         """Largest indeterminate index occurring (0 for constants)."""
@@ -324,8 +322,10 @@ class MPoly:
 
     def eval_rat(self, point: Sequence[Fraction | int]) -> Fraction:
         """Exact value at a rational point (point[j-1] is the value of X_j), as
-        a Fraction; every coordinate is an int or a Fraction, and an all-int
-        point sums in ints."""
+        a Fraction; the point is a list or tuple, every coordinate is an int or
+        a Fraction, and an all-int point sums in ints."""
+        if not isinstance(point, (list, tuple)):
+            raise ValueError(f"point {point!r} is not a list or tuple")
         if self.width() > len(point):
             raise ValueError(f"point covers X1..X{len(point)} but X{self.width()} occurs")
         for x in point:
@@ -392,17 +392,6 @@ class MPoly:
 
     def to_json_dict(self) -> dict:
         return {"terms": [{"coeff": str(c), "exponents": list(e)} for e, c in self.terms()]}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> MPoly:
-        terms: dict[Exponents, int] = {}
-        for item in data["terms"]:
-            coeff = item["coeff"]
-            # written as a decimal string; the constructor rejects any non-int
-            if type(coeff) is str and _DECIMAL.fullmatch(coeff):
-                coeff = int(coeff)
-            terms[tuple(item["exponents"])] = coeff
-        return cls(terms)
 
 
 def _raw(store: dict[int, int]) -> MPoly:
@@ -475,6 +464,8 @@ def parse_poly(text: str) -> MPoly:
     optional leading "-"; surrounding whitespace is ignored.  Anything else,
     including the empty string, raises ValueError.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"cannot parse polynomial {text!r}: not a string")
     s = text.strip()
     if not _POLY_RE.fullmatch(s):
         raise ValueError(f"cannot parse polynomial {text!r}")
@@ -526,10 +517,6 @@ class LaurentX1:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentX1 is immutable")
-
-    @classmethod
-    def from_poly(cls, p: MPoly) -> LaurentX1:
-        return cls(p, 0)
 
     @classmethod
     def zero(cls) -> LaurentX1:
@@ -627,7 +614,3 @@ class LaurentX1:
 
     def to_json_dict(self) -> dict:
         return {**self._num.to_json_dict(), "x1_den": self._den}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> LaurentX1:
-        return cls(MPoly.from_json_dict(data), data.get("x1_den", 0))

@@ -28,7 +28,11 @@ from .ptypes import cycle_fn, partition_types
 
 @dataclass(frozen=True)
 class NumberTable:
-    """Triangular array indexed 0 <= k <= n <= nmax; zero outside."""
+    """Triangular array indexed 0 <= k <= n <= nmax; zero outside 0 <= k <= n.
+
+    A row past nmax is not in the table, so reading it raises ValueError
+    rather than reading as zero.
+    """
 
     rows: tuple[tuple[int, ...], ...]
 
@@ -37,7 +41,9 @@ class NumberTable:
         return len(self.rows) - 1
 
     def value(self, n: int, k: int) -> int:
-        if 0 <= k <= n <= self.nmax:
+        if n > self.nmax:
+            raise ValueError(f"row {n} is beyond the table's last row {self.nmax}")
+        if 0 <= k <= n:
             return self.rows[n][k]
         return 0
 
@@ -156,6 +162,7 @@ def schloemilch_ladder(n: int, k: int) -> list[tuple[int, int, int]]:
     lead = (-1)^(n-1-r) C(2n-2-r, k-1) weighs X1^r Bt in Thm 6.1, lead * tail
     with tail = C(2n-k, r+1-k) weighs X1^r B in Thm 6.4, and at X = (1, 1, ...)
     they give eqs. 6.10 and 6.9.  Neither binomial is zero on the ladder."""
+    _check_triangle(n, k)
     return [
         (r, (-1 if (n - 1 - r) % 2 else 1) * comb(2 * n - 2 - r, k - 1),
          comb(2 * n - k, r + 1 - k))

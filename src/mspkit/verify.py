@@ -389,7 +389,7 @@ def _sequence_inversion(depth, rng, cache):
         acc = LaurentX1.zero()
         for k in range(n + 1):
             acc = acc + msp.family("A", n, k, cache) * p[k]
-        yield f"n={n}: recovered vs original", acc, LaurentX1.from_poly(q[n])
+        yield f"n={n}: recovered vs original", acc, LaurentX1(q[n])
 
 
 @_check("sec7-revert-three-paths", 10, "30 random inputs, order<={d}")
@@ -522,11 +522,6 @@ def run_suite(
     return results
 
 
-def golden_table_check(cache: msp.MspCache | None = None) -> CheckResult:
-    """Run only the golden-table comparison at full depth."""
-    return run_suite(6, selection=["table1-golden"], cache=cache)[0]
-
-
 def report_json(results: list[CheckResult], max_n: int, seed: int) -> str:
     """Machine-readable report; wall times are excluded so that reports with
     the same seed are byte-identical."""
@@ -559,19 +554,3 @@ def report_text(results: list[CheckResult]) -> str:
     lines.append(f"{len(results)} checks, {failures} failure(s)")
     return "\n".join(lines)
 
-
-def table1_latex(nmax: int = 6, cache: msp.MspCache | None = None) -> str:
-    """Two-column LaTeX table juxtaposing the generations of both families."""
-    lines = [
-        r"\begin{tabular}{| l | l |}",
-        r"\hline",
-        r"\textbf{MSP of the 1st kind} & \textbf{MSP of the 2nd kind} \\ \hline\hline",
-    ]
-    for n in range(1, nmax + 1):
-        for k in range(1, n + 1):
-            s = msp.stirling_first_explicit(n, k, cache).to_latex()
-            b = msp.bell_explicit(n, k, cache).to_latex()
-            tail = r" \\ \hline" if k == n else r" \\"
-            lines.append(f"$S_{{{n},{k}}}={s}$ & $B_{{{n},{k}}}={b}$" + tail)
-    lines.append(r"\end{tabular}")
-    return "\n".join(lines)

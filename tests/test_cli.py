@@ -16,6 +16,12 @@ from mspkit import cli, msp
 from mspkit.poly import LaurentX1, MPoly
 
 
+def decode_json(data):
+    """The MPoly, or LaurentX1 when `x1_den` is present, of a `--format json` body."""
+    num = MPoly({tuple(t["exponents"]): int(t["coeff"]) for t in data["terms"]})
+    return LaurentX1(num, data["x1_den"]) if "x1_den" in data else num
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -58,7 +64,7 @@ def test_gen_json_round_trip(capsys):
                     "json",
                 )
                 assert code == 0
-                parsed = MPoly.from_json_dict(json.loads(out))
+                parsed = decode_json(json.loads(out))
                 assert parsed == msp.generate(kind, n, k)
 
 
@@ -73,7 +79,7 @@ def test_gen_json_laurent_round_trip(capsys):
             assert code == 0
             data = json.loads(out)
             assert "x1_den" in data
-            assert LaurentX1.from_json_dict(data) == msp.lie_first(n, k)
+            assert decode_json(data) == msp.lie_first(n, k)
 
 
 def test_gen_latex(capsys):
@@ -270,7 +276,7 @@ def test_gen_complete_bell(capsys, fmt):
     if fmt == "text":
         assert out == "X3 + 3*X1*X2 + X1^3\n"
     elif fmt == "json":
-        assert MPoly.from_json_dict(json.loads(out)) == want
+        assert decode_json(json.loads(out)) == want
     else:
         assert out == f"$Bn_{{3}}={want.to_latex()}$\n"
 

@@ -129,7 +129,7 @@ def test_compose_transform_second():
     for n in range(1, 9):
         for k in range(1, n + 1):
             got = msp.compose_transform_second(n, k)
-            assert got == LaurentX1.from_poly(msp.bell_explicit(n, k))
+            assert got == LaurentX1(msp.bell_explicit(n, k))
 
 
 def test_convolution_recurrences():
@@ -205,6 +205,12 @@ def test_generate_dispatch():
     assert msp.generate("Bn", 3, 0) == msp.complete_bell(3)
     with pytest.raises(ValueError):
         msp.generate("Q", 3, 1)
+
+
+@pytest.mark.parametrize("kind", [["S"], {"S"}, {"S": 1}])
+def test_generate_rejects_unhashable_kind(kind):
+    with pytest.raises(ValueError, match="unknown kind"):
+        msp.generate(kind, 3, 2)
 
 
 def test_registry_kinds():

@@ -160,7 +160,7 @@ def test_laurent_reduce():
 
 
 def test_laurent_mixed_add():
-    v = LaurentX1(X2, 2) + LaurentX1.from_poly(X1)
+    v = LaurentX1(X2, 2) + LaurentX1(X1)
     assert v.num == X2 + X1**3
     assert v.x1_den == 2
 
@@ -207,11 +207,15 @@ def test_parse_round_trip_fixed():
         assert format_poly(parse_poly(text)) == text
 
 
+def from_json(data):
+    return MPoly({tuple(t["exponents"]): int(t["coeff"]) for t in data["terms"]})
+
+
 def test_json_round_trip():
     p = 945 * X1 * X2**4 - 840 * X1**2 * X2**2 * X3
-    assert MPoly.from_json_dict(json.loads(json.dumps(p.to_json_dict()))) == p
-    v = LaurentX1(p, 5)
-    assert LaurentX1.from_json_dict(v.to_json_dict()) == v
+    assert from_json(json.loads(json.dumps(p.to_json_dict()))) == p
+    d = LaurentX1(p, 5).to_json_dict()
+    assert LaurentX1(from_json(d), d["x1_den"]) == LaurentX1(p, 5)
 
 
 def test_json_coefficients_are_strings():
@@ -281,7 +285,7 @@ def test_canonical_idempotence(p):
     # form recovers the value
     assert MPoly(dict(p.terms())) == p
     assert parse_poly(format_poly(p)) == p
-    assert MPoly.from_json_dict(p.to_json_dict()) == p
+    assert from_json(p.to_json_dict()) == p
 
 
 @settings(max_examples=40, deadline=None)
@@ -330,7 +334,7 @@ def test_keys_trimmed_and_checked_on_every_path():
     assert MPoly({(1, 0, 0): 2}) == 2 * X1
     assert MPoly({(1, 0, 0): 2, (1,): 3}) == 5 * X1
     assert MPoly({(0, 0): 4}) == MPoly.const(4)
-    assert MPoly({(0, 1): 1}).coefficient((0, 1, 0)) == 1
+    assert MPoly({(0, 1): 1}).terms() == MPoly({(0, 1, 0): 1}).terms() == [((0, 1), 1)]
     assert [e for e, _ in MPoly({(2, 0): 1, (0, 0, 1, 0): 1}).terms()] == [(0, 0, 1), (2,)]
     with pytest.raises(ValueError, match="negative exponent"):
         MPoly({(0, -1, 2): 1})
@@ -356,13 +360,13 @@ def test_constant_hashes_as_its_int():
 
 def test_laurent_without_denominator_hashes_as_numerator():
     p = 3 * X2**2 - X1 * X3
-    v = LaurentX1.from_poly(p)
+    v = LaurentX1(p)
     assert v == p
     assert hash(v) == hash(p)
     assert {v} & {p} == {v}
     assert LaurentX1(p * X1**2, 2) == p
     assert hash(LaurentX1(p * X1**2, 2)) == hash(p)
-    assert LaurentX1.from_poly(MPoly.const(5)) in {5}
+    assert LaurentX1(MPoly.const(5)) in {5}
     assert LaurentX1.zero() in {0}
     assert LaurentX1(p, 1) != p
     # comparing with a bool must not raise, although MPoly.const(True) does
@@ -378,7 +382,7 @@ def test_equal_values_hash_equal(p, den):
     q = MPoly(dict(p.terms()))
     assert q == p and hash(q) == hash(p)
     if p.width() == 0:
-        c = p.coefficient(())
+        c = dict(p.terms()).get((), 0)
         assert p == c and hash(p) == hash(c)
 
 
@@ -390,7 +394,8 @@ def test_equal_values_hash_equal(p, den):
 @pytest.mark.parametrize(
     "text",
     ["", "   ", "3 X1", "X1 X2", "X0", "X0^2", "X01", "+X1", "X1+X2", "X1 +X2", "X1 + ",
-     "- X1", "X1 + - X2", "3*", "*X1", "X1^", "X1**2", "x1", "3.5*X1", "X1^-1", "2 3"],
+     "- X1", "X1 + - X2", "3*", "*X1", "X1^", "X1**2", "x1", "3.5*X1", "X1^-1", "2 3",
+     None, 3],
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(ValueError):
@@ -417,7 +422,7 @@ def test_parse_format_round_trip(p):
 
 
 # ---------------------------------------------------------------------------
-# strict input: exponents, JSON coefficients and x1_den must be integers
+# strict input: exponents and x1_den must be integers
 # ---------------------------------------------------------------------------
 
 
@@ -427,28 +432,18 @@ def test_non_int_exponents_rejected(exps):
         MPoly({exps: 2})
 
 
-@pytest.mark.parametrize("exps", [[2.0], [1.5], [True], [1, False]])
-def test_json_non_int_exponents_rejected(exps):
-    with pytest.raises(ValueError, match="is not an int"):
-        MPoly.from_json_dict({"terms": [{"coeff": "3", "exponents": exps}]})
-
-
-@pytest.mark.parametrize("coeff", [2.5, 2.0, True, "2.5", " 2", "+2", "", None])
-def test_json_non_integer_coefficients_rejected(coeff):
-    with pytest.raises(ValueError, match="coefficient .* is not an int"):
-        MPoly.from_json_dict({"terms": [{"coeff": coeff, "exponents": [1]}]})
-
-
-def test_json_integer_coefficients_accepted():
-    data = {"terms": [{"coeff": "-3", "exponents": [1]}, {"coeff": 4, "exponents": [0, 2]}]}
-    assert MPoly.from_json_dict(data) == -3 * X1 + 4 * X2**2
+@pytest.mark.parametrize(
+    "build",
+    [lambda: MPoly({1: 2}), lambda: MPoly({None: 1}), lambda: MPoly({(1,): 1, 2: 1}),
+     lambda: MPoly.monomial(1, 5), lambda: MPoly.monomial(1, None)],
+)
+def test_non_tuple_monomials_rejected(build):
+    with pytest.raises(ValueError, match="is not a tuple of exponents"):
+        build()
 
 
 @pytest.mark.parametrize("den", [1.9, 1.0, True, "1", -1])
 def test_non_integer_x1_den_rejected(den):
-    data = {"terms": [{"coeff": "1", "exponents": [0, 1]}], "x1_den": den}
-    with pytest.raises(ValueError, match="x1_den must be a nonnegative int"):
-        LaurentX1.from_json_dict(data)
     with pytest.raises(ValueError, match="x1_den must be a nonnegative int"):
         LaurentX1(X2, den)
 
@@ -474,7 +469,7 @@ def test_laurent_operators_defer_on_foreign_operands():
             other * one
     with pytest.raises(TypeError):
         one - Fraction(1, 2)
-    assert one + X1 == X1 + one == LaurentX1.from_poly(X1 + 1)
+    assert one + X1 == X1 + one == LaurentX1(X1 + 1)
     assert one * 3 == 3 * one == 3
 
 
@@ -487,14 +482,6 @@ def test_laurent_operators_defer_on_foreign_operands():
 def test_var_rejects_non_int_index(j):
     with pytest.raises(ValueError, match="must be an int"):
         MPoly.var(j)
-
-
-@pytest.mark.parametrize("exps", [(1.0, 2.0), (1, 2, 0.0), (True,), (1, False)])
-def test_coefficient_rejects_non_int_exponents(exps):
-    p = X1 * X2**2 + X1
-    with pytest.raises(ValueError, match="is not an int"):
-        p.coefficient(exps)
-    assert p.coefficient((1, 2, 0)) == 1
 
 
 @pytest.mark.parametrize("j", [True, 1.0, 2.5])
@@ -549,7 +536,6 @@ def test_exponents_up_to_the_limit_work():
     q = MPoly({(LIMIT, LIMIT, LIMIT): 2}) * MPoly.const(3)
     assert q.terms() == [((LIMIT, LIMIT, LIMIT), 6)]
     assert str(MPoly({(0, LIMIT // 2): 1}) ** 2) == f"X2^{LIMIT - 1}"
-    assert p.coefficient((LIMIT + 1,)) == p.coefficient((2**16,)) == 0
 
 
 def test_exponent_messages_unchanged():
@@ -781,4 +767,11 @@ def test_sum_products_rejects_bad_parts(part, message):
 )
 def test_eval_rat_rejects_inexact_points_and_poles(value, point):
     with pytest.raises(ValueError, match="is not an int or a Fraction|X1 must be nonzero"):
+        value.eval_rat(point)
+
+
+@pytest.mark.parametrize("value", [X1, MPoly.const(3), LaurentX1(X1 + 1)])
+@pytest.mark.parametrize("point", [None, 1, {1: 2}, iter([1])])
+def test_eval_rat_point_must_be_a_list_or_tuple(value, point):
+    with pytest.raises(ValueError, match="is not a list or tuple"):
         value.eval_rat(point)

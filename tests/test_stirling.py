@@ -78,9 +78,20 @@ def test_s2_values():
 
 def test_table_outside_range_is_zero():
     t = stirling.s2_table(5)
-    assert t.value(6, 2) == 0
+    with pytest.raises(ValueError, match="beyond the table"):
+        t.value(6, 2)  # s2(6,2) = 31: a row past nmax is unknown, not zero
     assert t.value(3, 4) == 0
     assert t.value(-1, 0) == 0
+
+
+def test_closed_forms_reject_a_short_table():
+    # s1(5,2) = -50 needs rows up to 6; a shorter table once summed as 0
+    with pytest.raises(ValueError, match="beyond the table"):
+        stirling.s1_schloemilch(5, 2, s2=stirling.s2_table(3))
+    with pytest.raises(ValueError, match="beyond the table"):
+        stirling.s1_via_assoc(5, 2, assoc=stirling.assoc_s2_table(3))
+    assert stirling.s1_schloemilch(5, 2, s2=stirling.s2_table(6)) == -50
+    assert stirling.s1_via_assoc(5, 2, assoc=stirling.assoc_s2_table(6)) == -50
 
 
 def test_cycle_table_brute_force():
@@ -208,6 +219,16 @@ def test_schloemilch_paper_products():
     assert stirling.s1_via_assoc_terms(7, 4) == [(-84, 15), (56, 10), (-35, 1)]
     assert stirling.s1_schloemilch(7, 4) == -735
     assert stirling.s1_via_assoc(7, 4) == -735
+
+
+@pytest.mark.parametrize(
+    "n, k, message",
+    [("3", 1, "indices must be ints"), (3, 1.0, "indices must be ints"),
+     (True, 1, "indices must be ints"), (2, 5, "out of range"), (3, 0, "out of range")],
+)
+def test_schloemilch_ladder_checks_its_indices(n, k, message):
+    with pytest.raises(ValueError, match=message):
+        stirling.schloemilch_ladder(n, k)
 
 
 def test_schloemilch_full_range():

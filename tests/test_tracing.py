@@ -148,3 +148,69 @@ def test_tracer_sees_every_transforms_warm_span(capsys, monkeypatch):
     assert keys
     for key, b, a in zip(keys, before, after):
         assert a > b, key
+
+
+def load_perfbench(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", TRACING.with_name(f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def assert_cold_workload_guards_hold(capsys, monkeypatch, workload_cls, ops_of):
+    # run the ops that ops_of picks from the workload through its own
+    # prepare and check under the tracer: every span that perfbench/run.py
+    # requires on the workload must grow, and its cold-cache guard must hold
+    run = load_perfbench(monkeypatch, "run")
+    keys = [name.removesuffix(".calls") for name, workloads in run.MUST_CALL.items()
+            if workload_cls.name in workloads]
+    monkeypatch.setattr(msp, "_DEFAULT_CACHE", msp.MspCache())
+    mods = SimpleNamespace(
+        cli=cli, msp=msp, poly=poly, ptypes=ptypes, series=series, stirling=stirling, verify=verify
+    )
+    workload = workload_cls(mods, seed=1)
+    workload.prepare_oracles()
+    ops = ops_of(workload)
+    tracer = load_tracing().Tracer(mods)
+    tracer.install()
+    try:
+        before = [tracer.spans[key][0] for key in keys]
+        tracer.enabled = True
+        results = [workload.prepare(op)() for op in ops]
+        tracer.enabled = False
+        after = [tracer.spans[key][0] for key in keys]
+    finally:
+        tracer.uninstall()
+    assert "trace:" not in capsys.readouterr().err
+    assert all(workload.check(op, result)[0] for op, result in zip(ops, results))
+    assert workload.check_run(tracer) is None
+    assert keys
+    for key, b, a in zip(keys, before, after):
+        assert a > b, key
+
+
+def test_tracer_sees_every_gen_cold_span(capsys, monkeypatch):
+    workloads = load_perfbench(monkeypatch, "workloads")
+
+    class SmallGenCold(workloads.GenCold):
+        NS = (6,)
+
+    def ops_of(w):
+        return [(kind, n, fmt) for kind in w.KINDS for n in w.NS for fmt in w.FORMATS]
+
+    assert_cold_workload_guards_hold(capsys, monkeypatch, SmallGenCold, ops_of)
+
+
+def test_tracer_sees_every_series_numeric_span(capsys, monkeypatch):
+    workloads = load_perfbench(monkeypatch, "workloads")
+
+    class SmallSeriesNumeric(workloads.SeriesNumeric):
+        ORDERS = COMTET_ORDERS = (6,)
+
+    def ops_of(w):
+        ops = w.block(0)  # one op of each command at the one order
+        assert sorted(op[0] for op in ops) == sorted(w.COMMANDS + w.COMTET_COMMANDS)
+        return ops
+
+    assert_cold_workload_guards_hold(capsys, monkeypatch, SmallSeriesNumeric, ops_of)
