@@ -553,4 +553,3 @@ def report_text(results: list[CheckResult]) -> str:
     failures = sum(1 for r in results if not r.passed)
     lines.append(f"{len(results)} checks, {failures} failure(s)")
     return "\n".join(lines)
-
