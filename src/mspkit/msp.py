@@ -69,7 +69,10 @@ def family(kind: str, n: int, k: int, cache: MspCache | None = None) -> CacheVal
         value = MPoly.const(1) if n == k == 0 else MPoly.zero()
         return LaurentX1(value) if kind == "A" else value
     c = _DEFAULT_CACHE if cache is None else cache
-    hit = c.get(kind, n, k)
+    try:
+        hit = c.get(kind, n, k)
+    except TypeError:  # an unhashable kind
+        raise _unknown_family(kind) from None
     if hit is not None:
         return hit
     if kind == "A":

@@ -71,11 +71,12 @@ def _check_fields(keys: Iterable[int], union: int) -> None:
 
 
 _INT = {int}
+_TUPLE = {tuple}
 
 
 def _check_exponents(terms: Iterable[Exponents]) -> None:
     """Name the first key that is not a tuple or has a non-int, negative or
-    too large exponent."""
+    too large exponent; return if there is none."""
     for exps in terms:
         if not isinstance(exps, tuple):
             raise ValueError(f"monomial {exps!r} is not a tuple of exponents")
@@ -84,8 +85,9 @@ def _check_exponents(terms: Iterable[Exponents]) -> None:
     for exps in terms:
         if exps and min(exps) < 0:
             raise ValueError(f"negative exponent in {exps}")
-    bad = next(exps for exps in terms if exps and max(exps) > _MAX_EXPONENT)
-    raise ValueError(f"exponent in {bad} exceeds {_MAX_EXPONENT}")
+    for exps in terms:
+        if exps and max(exps) > _MAX_EXPONENT:
+            raise ValueError(f"exponent in {exps} exceeds {_MAX_EXPONENT}")
 
 
 class MPoly:
@@ -96,19 +98,20 @@ class MPoly:
     def __init__(self, terms: Mapping[Exponents, int] | None = None):
         store: dict[int, int] = {}
         if terms:
-            # struct rejects floats, negatives and values >= 2^16 but takes bools
             try:
-                all_int = _INT.issuperset(map(type, chain.from_iterable(terms)))
-            except TypeError:  # a key that is not iterable
-                all_int = False
-            if not all_int:
+                coeffs = terms.values()
+            except AttributeError:
+                raise ValueError(f"terms {terms!r} is not a mapping of monomials to ints") from None
+            # struct takes any iterable key and bools; only tuples of ints skip
+            # the slow check.  It rejects floats, negatives and values >= 2^16.
+            if not (_TUPLE.issuperset(map(type, terms))
+                    and _INT.issuperset(map(type, chain.from_iterable(terms)))):
                 _check_exponents(terms)
             try:
                 keys = [int.from_bytes(_CODECS[len(e)].pack(*e), "little") for e in terms]
             except StructError:
                 _check_exponents(terms)
             _check_fields(keys, reduce(or_, keys))
-            coeffs = terms.values()
             if not _INT.issuperset(map(type, coeffs)):
                 bad = next(c for c in coeffs if type(c) is not int)
                 raise ValueError(f"coefficient {bad!r} is not an int")

@@ -44,7 +44,6 @@ the helpers below, so it still shares no computation with the other paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 from operator import mul
@@ -54,27 +53,38 @@ from . import msp
 from .stirling import convolution_table, recurrence_table
 
 
-@dataclass(frozen=True, eq=False)
 class Egf:
     """Coefficients f_1..f_N of a truncated EGF with f_0 = 0.
 
-    Series compare equal when their coefficient lists do, whatever their
-    subtype."""
+    Immutable.  Series compare equal when their coefficient lists do,
+    whatever their subtype."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if not isinstance(self.coeffs, (tuple, list)):
-            raise ValueError(f"coefficients must be a tuple or list, got {self.coeffs!r}")
-        if any(isinstance(c, (float, bool)) for c in self.coeffs):
-            raise ValueError(f"coefficients must be exact, got {self.coeffs!r}")
+    def __init__(self, coeffs: tuple[Fraction, ...] | list):
+        if not isinstance(coeffs, (tuple, list)):
+            raise ValueError(f"coefficients must be a tuple or list, got {coeffs!r}")
+        if any(isinstance(c, (float, bool)) for c in coeffs):
+            raise ValueError(f"coefficients must be exact, got {coeffs!r}")
         try:
-            coeffs = tuple(Fraction(c) for c in self.coeffs)
+            exact = tuple(Fraction(c) for c in coeffs)
         except (TypeError, ZeroDivisionError) as exc:
-            raise ValueError(f"coefficients must be exact rationals, got {self.coeffs!r}") from exc
-        object.__setattr__(self, "coeffs", coeffs)
-        if not self.coeffs:
+            raise ValueError(f"coefficients must be exact rationals, got {coeffs!r}") from exc
+        if not exact:
             raise ValueError("at least one coefficient is required")
+        object.__setattr__(self, "coeffs", exact)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.coeffs,)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(coeffs={self.coeffs!r})"
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Egf) and self.coeffs == other.coeffs
@@ -124,12 +134,13 @@ def _nonzero_f1(f: Egf) -> Fraction:
     return f.f(1)
 
 
-@dataclass(frozen=True, eq=False)
 class EgfCoeffs(Egf):
     """An invertible truncated EGF: f_0 = 0 and f_1 != 0."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, coeffs: tuple[Fraction, ...] | list):
+        super().__init__(coeffs)
         _nonzero_f1(self)
 
 

@@ -19,19 +19,19 @@ polynomial expansions in the msp module iterate it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 from .ptypes import cycle_fn, partition_types
 
 
-@dataclass(frozen=True)
-class NumberTable:
+class NumberTable(NamedTuple):
     """Triangular array indexed 0 <= k <= n <= nmax; zero outside 0 <= k <= n.
 
     A row past nmax is not in the table, so reading it raises ValueError
-    rather than reading as zero.
+    rather than reading as zero; so do indices that are not ints (bools
+    excluded).
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -41,6 +41,8 @@ class NumberTable:
         return len(self.rows) - 1
 
     def value(self, n: int, k: int) -> int:
+        if type(n) is not int or type(k) is not int:
+            _check_triangle(n, k)  # raises "indices must be ints"
         if n > self.nmax:
             raise ValueError(f"row {n} is beyond the table's last row {self.nmax}")
         if 0 <= k <= n:
@@ -146,6 +148,13 @@ def _check_triangle(n: int, k: int, k_min: int = 1) -> None:
         raise ValueError(f"indices out of range: need {k_min} <= k <= n, got ({n},{k})")
 
 
+def _check_table(table: NumberTable, name: str) -> NumberTable:
+    """table itself, if it is a NumberTable (a bare tuple of rows is not)."""
+    if not isinstance(table, NumberTable):
+        raise ValueError(f"{name} must be a NumberTable, got {type(table).__name__}")
+    return table
+
+
 def s2_bertrand(n: int, k: int) -> int:
     """s2(n,k) = (1/k!) sum_j (-1)^(k-j) C(k,j) j^n."""
     _check_triangle(n, k)
@@ -176,8 +185,7 @@ def s1_schloemilch_terms(
     """Nonzero terms of Schloemilch's formula for s1(n,k), each as a pair
     (signed C(2n-2-r,k-1), C(2n-k,r+1-k) * s2(2n-1-k-r, n-1-r))."""
     _check_triangle(n, k)
-    if s2 is None:
-        s2 = s2_table(2 * n)
+    s2 = s2_table(2 * n) if s2 is None else _check_table(s2, "s2")
     terms = [
         (lead, tail * s2.value(2 * n - 1 - k - r, n - 1 - r))
         for r, lead, tail in schloemilch_ladder(n, k)
@@ -197,8 +205,7 @@ def s1_via_assoc_terms(
     """Nonzero terms of the associated-number variant, each as a pair
     (signed C(2n-2-r,k-1), assoc(2n-1-k-r, n-1-r))."""
     _check_triangle(n, k)
-    if assoc is None:
-        assoc = assoc_s2_table(2 * n)
+    assoc = assoc_s2_table(2 * n) if assoc is None else _check_table(assoc, "assoc")
     terms = [
         (lead, assoc.value(2 * n - 1 - k - r, n - 1 - r))
         for r, lead, _ in schloemilch_ladder(n, k)

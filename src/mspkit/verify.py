@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Callable, Iterator, NamedTuple
@@ -85,8 +84,9 @@ GOLDEN_SECOND_KIND = {
 }
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
+    """The outcome of one check: `counterexample` is None when it passed."""
+
     check_id: str
     params: str
     passed: bool

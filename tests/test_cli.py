@@ -325,6 +325,16 @@ def test_verify_report_same_under_optimize():
     assert json.loads(runs[0].stdout)["max_n"] == 8
 
 
+def test_cli_import_pulls_in_neither_dataclasses_nor_inspect():
+    # -S leaves out site hooks, which may import either module themselves
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import mspkit.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("only", [",", ""])
 def test_verify_run_empty_selection_exits_2(capsys, only):
     with pytest.raises(SystemExit) as exc:

@@ -213,6 +213,15 @@ def test_generate_rejects_unhashable_kind(kind):
         msp.generate(kind, 3, 2)
 
 
+@pytest.mark.parametrize("kind", [["S"], {"S"}, {"S": 1}])
+def test_family_rejects_unhashable_kind(kind):
+    cache = msp.MspCache()
+    for n, k in [(3, 2), (2, 3)]:  # inside the triangle, where the cache is read, and outside
+        with pytest.raises(ValueError, match="unknown family kind"):
+            msp.family(kind, n, k, cache)
+    assert len(cache) == 0
+
+
 def test_registry_kinds():
     assert msp.KINDS == ("S", "B", "Bt", "L", "A", "Bn")
     for kind in msp.KINDS[:-1]:

@@ -435,11 +435,20 @@ def test_non_int_exponents_rejected(exps):
 @pytest.mark.parametrize(
     "build",
     [lambda: MPoly({1: 2}), lambda: MPoly({None: 1}), lambda: MPoly({(1,): 1, 2: 1}),
-     lambda: MPoly.monomial(1, 5), lambda: MPoly.monomial(1, None)],
+     lambda: MPoly.monomial(1, 5), lambda: MPoly.monomial(1, None),
+     # iterables of ints that are not tuples; these once packed as X1*X2^2 or X2*X3^2
+     lambda: MPoly({frozenset({1, 2}): 1}), lambda: MPoly({b"\x01\x02": 1}),
+     lambda: MPoly({range(3): 1}), lambda: MPoly({(1,): 1, range(3): 1})],
 )
 def test_non_tuple_monomials_rejected(build):
     with pytest.raises(ValueError, match="is not a tuple of exponents"):
         build()
+
+
+@pytest.mark.parametrize("terms", [True, -1, object(), [((1,), 2)], {(1,): 2}.items()])
+def test_terms_must_be_a_mapping(terms):
+    with pytest.raises(ValueError, match="is not a mapping of monomials to ints"):
+        MPoly(terms)
 
 
 @pytest.mark.parametrize("den", [1.9, 1.0, True, "1", -1])

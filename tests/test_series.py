@@ -9,7 +9,9 @@ and S_{n,k} / f_1^(2n-1) over P(2n-1-k, n-1) with stirling_fn weights.
 
 from __future__ import annotations
 
+import pickle
 import random
+from copy import deepcopy
 from fractions import Fraction
 from math import factorial
 
@@ -378,6 +380,21 @@ def test_plain_egf_allows_zero_f1():
     assert series.Egf((F(1), F(2))) == egf(1, 2)
     assert hash(series.Egf((F(1), F(2)))) == hash(egf(1, 2))
     assert isinstance(egf(1, 2).truncate(3), EgfCoeffs)
+
+
+@pytest.mark.parametrize("cls", [series.Egf, EgfCoeffs])
+def test_egf_values_are_immutable(cls):
+    f = cls(coeffs=(1, F(1, 2)))
+    assert repr(f) == f"{cls.__name__}(coeffs=(Fraction(1, 1), Fraction(1, 2)))"
+    assert f == series.Egf((1, F(1, 2))) == EgfCoeffs((1, F(1, 2)))
+    assert hash(f) == hash(series.Egf((1, F(1, 2)))) == hash(EgfCoeffs((1, F(1, 2))))
+    for change in (lambda: setattr(f, "coeffs", (F(2),)), lambda: delattr(f, "coeffs"),
+                   lambda: setattr(f, "extra", 1)):
+        with pytest.raises(AttributeError):
+            change()
+    assert f.coeffs == (F(1), F(1, 2))
+    for copy in (pickle.loads(pickle.dumps(f)), deepcopy(f)):
+        assert type(copy) is cls and copy == f
 
 
 def test_compose_zero_g1_matches_oracle():

@@ -84,6 +84,26 @@ def test_table_outside_range_is_zero():
     assert t.value(-1, 0) == 0
 
 
+@pytest.mark.parametrize("n, k", [("3", 1), (1.5, 1), (2, 1.5), (True, 1), (2, False), (None, 0)])
+def test_table_value_rejects_non_int_indices(n, k):
+    with pytest.raises(ValueError, match="indices must be ints"):
+        stirling.s2_table(5).value(n, k)
+
+
+@pytest.mark.parametrize(
+    "table",
+    # the last two are bare tuples: the rows, and a tuple equal to the table
+    [object(), 3, "s2", [[1]], (), stirling.s2_table(6).rows, (stirling.s2_table(6).rows,)],
+)
+def test_closed_forms_take_only_a_number_table(table):
+    for formula in (stirling.s1_schloemilch, stirling.s1_schloemilch_terms):
+        with pytest.raises(ValueError, match="s2 must be a NumberTable"):
+            formula(5, 2, s2=table)
+    for formula in (stirling.s1_via_assoc, stirling.s1_via_assoc_terms):
+        with pytest.raises(ValueError, match="assoc must be a NumberTable"):
+            formula(5, 2, assoc=table)
+
+
 def test_closed_forms_reject_a_short_table():
     # s1(5,2) = -50 needs rows up to 6; a shorter table once summed as 0
     with pytest.raises(ValueError, match="beyond the table"):
