@@ -34,7 +34,7 @@ from math import comb
 
 from .poly import LaurentX1, MPoly
 from .ptypes import order_fn, partition_types, stirling_fn, subset_fn
-from .stirling import _check_triangle, schloemilch_ladder
+from .stirling import _check_int, _check_triangle, schloemilch_ladder
 
 CacheValue = MPoly | LaurentX1
 
@@ -142,8 +142,7 @@ def bell_recursive(n: int, k: int, cache: MspCache | None = None) -> MPoly:
 
 def complete_bell(n: int, cache: MspCache | None = None) -> MPoly:
     """Complete Bell polynomial, the sum of B_{n,k} over k = 1..n."""
-    if type(n) is not int or n < 1:
-        raise ValueError(f"complete Bell polynomials need an int n >= 1, got {n!r}")
+    _check_int(n, "n", 1)
     one = MPoly.const(1)
     return MPoly.sum_products((family("B", n, k, cache), one, 1) for k in range(1, n + 1))
 
@@ -316,8 +315,7 @@ def snk1_nested(n: int, cache: MspCache | None = None) -> MPoly:
     contributes (-1)^(r+1) X1^((n-2) - sum j_i) B_{n,jr} B_{jr,j(r-1)} ... B_{j1,1}.
     Intermediate X1 powers can be negative; the total is a polynomial.
     """
-    if type(n) is not int or n < 2:
-        raise ValueError(f"the nested sum needs an int n >= 2, got {n!r}")
+    _check_int(n, "n", 2)
     # the longest chain, {2, ..., n-1}, has the most negative shift, -off
     off = (n - 1) * (n - 2) // 2
 

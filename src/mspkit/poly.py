@@ -82,10 +82,8 @@ def _check_exponents(terms: Iterable[Exponents]) -> None:
             raise ValueError(f"monomial {exps!r} is not a tuple of exponents")
         if not _INT.issuperset(map(type, exps)):
             raise ValueError(f"exponent in {exps!r} is not an int")
-    for exps in terms:
         if exps and min(exps) < 0:
             raise ValueError(f"negative exponent in {exps}")
-    for exps in terms:
         if exps and max(exps) > _MAX_EXPONENT:
             raise ValueError(f"exponent in {exps} exceeds {_MAX_EXPONENT}")
 
@@ -97,11 +95,12 @@ class MPoly:
 
     def __init__(self, terms: Mapping[Exponents, int] | None = None):
         store: dict[int, int] = {}
-        if terms:
+        if terms is not None:
             try:
                 coeffs = terms.values()
             except AttributeError:
                 raise ValueError(f"terms {terms!r} is not a mapping of monomials to ints") from None
+        if terms:
             # struct takes any iterable key and bools; only tuples of ints skip
             # the slow check.  It rejects floats, negatives and values >= 2^16.
             if not (_TUPLE.issuperset(map(type, terms))
@@ -126,6 +125,12 @@ class MPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("MPoly is immutable")
+
+    def __reduce__(self):
+        return MPoly, (dict(self.terms()),)
 
     # -- constructors ------------------------------------------------------
 
@@ -265,20 +270,6 @@ class MPoly:
         # factor fields are at most 2^15 - 1, so no sum carried
         _check_fields(out, reduce(or_, out, 0))
         return _raw(out)
-
-    def __pow__(self, n: int) -> MPoly:
-        if type(n) is not int or n < 0:
-            raise ValueError(f"a polynomial power needs an int exponent >= 0, got {n!r}")
-        result = MPoly.const(1)
-        base = self
-        e = n
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     # -- calculus and substitution ----------------------------------------
 
@@ -423,15 +414,17 @@ def _factor(i: int, latex: bool, e: int) -> str:
 _FACTORS = _Memo(lambda key: _Memo(partial(_factor, *key)))
 
 
-def join_terms(terms: Iterable[tuple[int | Fraction, str]], times: str = "*") -> str:
-    """Join nonzero (coefficient, monomial) pairs as `c*m + c*m - ...`.
-
-    A unit coefficient shows as its sign alone, an empty monomial as the
-    bare coefficient; `times` goes between a coefficient and its monomial.
-    No terms give "0".
-    """
+def format_poly(p: MPoly, latex: bool = False) -> str:
+    """p in the text format above, or in LaTeX if latex is True; "0" if p is zero."""
+    if not isinstance(p, MPoly) or type(latex) is not bool:
+        raise ValueError(
+            f"format_poly needs an MPoly and a bool, got {type(p).__name__} and {latex!r}"
+        )
+    tables = [_FACTORS[i, latex] for i in range(1, p.width() + 1)]
+    times = "" if latex else "*"
     chunks: list[str] = []
-    for coeff, mono in terms:
+    for exps, coeff in p.terms():
+        mono = times.join(filter(None, map(getitem, tables, exps)))
         mag = abs(coeff)
         if not mono:
             body = str(mag)
@@ -444,13 +437,6 @@ def join_terms(terms: Iterable[tuple[int | Fraction, str]], times: str = "*") ->
         else:
             chunks.append(("- " if coeff < 0 else "+ ") + body)
     return " ".join(chunks) if chunks else "0"
-
-
-def format_poly(p: MPoly, latex: bool = False) -> str:
-    tables = [_FACTORS[i, latex] for i in range(1, p.width() + 1)]
-    sep = "" if latex else "*"
-    return join_terms([(coeff, sep.join(filter(None, map(getitem, tables, exps))))
-                       for exps, coeff in p.terms()], sep)
 
 
 _FACTOR = r"X[1-9][0-9]*(?:\^[0-9]+)?"
@@ -520,6 +506,12 @@ class LaurentX1:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentX1 is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("LaurentX1 is immutable")
+
+    def __reduce__(self):
+        return LaurentX1, (self._num, self._den)
 
     @classmethod
     def zero(cls) -> LaurentX1:

@@ -34,6 +34,8 @@ _INT = frozenset({int})
 
 def format_type(r: tuple[int, ...]) -> str:
     """The multiplicities joined by commas, "1,0,2"; "0" for the empty type."""
+    if type(r) is not tuple:
+        raise ValueError(f"a partition type is a tuple, got {r!r}")
     return ",".join(map(str, r)) if r else "0"
 
 

@@ -50,7 +50,7 @@ from operator import mul
 from typing import Callable
 
 from . import msp
-from .stirling import convolution_table, recurrence_table
+from .stirling import _check_int, convolution_table, recurrence_table
 
 
 class Egf:
@@ -105,19 +105,12 @@ class Egf:
         return self.coeffs[n - 1]
 
     def truncate(self, order: int) -> Egf:
-        _check_order(order)
+        _check_int(order, "order", 1)
         padded = self.coeffs[:order] + (Fraction(0),) * (order - len(self.coeffs))
         return type(self)(padded)
 
     def __iter__(self):
         return iter(self.coeffs)
-
-
-def _check_order(order: int) -> int:
-    """order itself, if it is an int >= 1 (bool excluded)."""
-    if type(order) is not int or order < 1:
-        raise ValueError(f"order must be an int >= 1, got {order!r}")
-    return order
 
 
 def _check_egf(f: Egf) -> Egf:
@@ -146,7 +139,7 @@ class EgfCoeffs(Egf):
 
 def identity_egf(order: int = 1) -> EgfCoeffs:
     """The identity series x (coefficients 1, 0, 0, ...)."""
-    return EgfCoeffs((Fraction(1),) + (Fraction(0),) * (_check_order(order) - 1))
+    return EgfCoeffs((Fraction(1),) + (Fraction(0),) * (_check_int(order, "order", 1) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +153,6 @@ def _cleared(f: Egf, order: int) -> tuple[int, list[int]]:
     cs = [f.f(j) for j in range(1, order + 1)]
     D = lcm(*(c.denominator for c in cs))
     return D, [0] + [c.numerator * (D // c.denominator) for c in cs]
-
-
-def _bell_triangle(g: Egf, order: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(D, T) with B_{n,k}(g_1, ..., g_{n-k+1}) = T[n][k] / D^k, 0 <= k <= n <= order.
-
-    Prop 5.5, B_{n,k} = sum_j C(n-1,j-1) g_j B_{n-j,k-1}, run on the cleared
-    integers a_j = D*g_j; B_{n,k} is homogeneous of degree k.
-    """
-    D, a = _cleared(g, order)
-    return D, convolution_table(order, a).rows
 
 
 def _lie_values(D: int, a: list[int]) -> Callable[[int, int], Fraction]:
@@ -242,8 +225,11 @@ def egf_compose(f: Egf, g: Egf, order: int | None = None) -> Egf:
     """Composition f(g(x)) to the given order via h_n = sum_k B_{n,k}(g) f_k."""
     _check_egf(f)
     _check_egf(g)
-    order = _check_order(min(f.order, g.order) if order is None else order)
-    D, T = _bell_triangle(g, order)
+    order = _check_int(min(f.order, g.order) if order is None else order, "order", 1)
+    # B_{n,k}(g) = T[n][k] / D^k: the Prop 5.5 triangle on a_j = D*g_j, as
+    # B_{n,k} is homogeneous of degree k
+    D, a = _cleared(g, order)
+    T = convolution_table(order, a).rows
     E, b = _cleared(f, order)
     # h_n = sum_k (T[n][k] / D^k) (b_k / E), over the common denominator E*D^n
     return Egf(
@@ -339,23 +325,22 @@ def total_partitions_triangle(nmax: int) -> tuple[tuple[int, ...], ...]:
 
 def total_partitions_recurrence(nmax: int) -> list[int]:
     """t(1..nmax), the total-partition numbers, as row sums of the triangle."""
-    if type(nmax) is not int or nmax < 1:
-        raise ValueError(f"nmax must be an int >= 1, got {nmax!r}")
-    rows = total_partitions_triangle(nmax - 1)
+    rows = total_partitions_triangle(_check_int(nmax, "nmax", 1) - 1)
     return [sum(rows[n - 1]) for n in range(1, nmax + 1)]
 
 
 def total_partitions_egf(order: int) -> EgfCoeffs:
     """Coefficients of 1 + 2x - e^x (f_1 = 1, f_j = -1 for j >= 2)."""
-    return EgfCoeffs((Fraction(1),) + (Fraction(-1),) * (_check_order(order) - 1))
+    return EgfCoeffs((Fraction(1),) + (Fraction(-1),) * (_check_int(order, "order", 1) - 1))
 
 
 def exp_transform(f: Egf, order: int | None = None) -> list[tuple[Fraction, ...]]:
     """Rows n = 1..order of the expansion of exp(t*f); row n holds the
     coefficients of t^0..t^n, the t^k one being B_{n,k}(f_1, ..., f_{n-k+1})."""
     _check_egf(f)
-    order = _check_order(f.order if order is None else order)
-    D, T = _bell_triangle(f, order)
+    order = _check_int(f.order if order is None else order, "order", 1)
+    D, a = _cleared(f, order)
+    T = convolution_table(order, a).rows
     return [
         tuple(Fraction(T[n][k], D**k) for k in range(n + 1))
         for n in range(1, order + 1)
@@ -367,7 +352,7 @@ def exp_transform_inverse(f: Egf, order: int | None = None) -> list[tuple[Fracti
     coefficients of t^0..t^n, computed directly from f through the Laurent
     first-kind values, without reverting."""
     _nonzero_f1(f)
-    order = _check_order(f.order if order is None else order)
+    order = _check_int(f.order if order is None else order, "order", 1)
     value = _lie_values(*_cleared(f, order))
     return [
         (Fraction(0),) + tuple(value(n, k) for k in range(1, n + 1))

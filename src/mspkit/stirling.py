@@ -50,17 +50,19 @@ class NumberTable(NamedTuple):
         return 0
 
 
-def _check_size(nmax: int) -> None:
-    """Raise ValueError unless the table size nmax is an int >= 0, bool excluded."""
-    if type(nmax) is not int or nmax < 0:
-        raise ValueError(f"table size must be a nonnegative int, got {nmax!r}")
+def _check_int(value: int, name: str, low: int) -> int:
+    """value itself, if it is an int >= low (bool excluded); the check of
+    every size, order and depth argument."""
+    if type(value) is not int or value < low:
+        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+    return value
 
 
 def recurrence_table(nmax: int, step) -> NumberTable:
     """Fill rows 0..nmax from row 0 = (1,), with entry (n, k) = step(t, n, k)
     for 1 <= k <= n and (n, 0) = 0; t(m, j) reads any earlier row and is 0
     outside 0 <= j <= m."""
-    _check_size(nmax)
+    _check_int(nmax, "nmax", 0)
     rows: list[tuple[int, ...]] = [(1,)]
 
     def t(m: int, j: int) -> int:
@@ -78,7 +80,7 @@ def convolution_table(nmax: int, a: list[int]) -> NumberTable:
 
     so T(n,k) is the partial Bell value B_{n,k}(a_1, a_2, ...).
     """
-    _check_size(nmax)
+    _check_int(nmax, "nmax", 0)
     rows: list[tuple[int, ...]] = [(1,)]
     for n in range(1, nmax + 1):
         ca = [0] + [comb(n - 1, j - 1) * a[j] for j in range(1, n + 1)]
@@ -111,7 +113,7 @@ def assoc_s2_table(nmax: int) -> NumberTable:
     """Associated Stirling numbers of the second kind (no singleton blocks),
     the associated Bell values Bt_{n,k}(1, 1, ...): Prop 5.5 with a_1 = 0 and
     a_j = 1 for j >= 2."""
-    _check_size(nmax)  # before the weight list is sized by it
+    _check_int(nmax, "nmax", 0)  # before the weight list is sized by it
     return convolution_table(nmax, [0, 0] + [1] * (nmax - 1))
 
 

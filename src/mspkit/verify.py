@@ -484,8 +484,7 @@ def run_suite(
     cache: msp.MspCache | None = None,
 ) -> list[CheckResult]:
     """Run the selected checks (all by default) scaled to depth max_n."""
-    if type(max_n) is not int or max_n < 1:
-        raise ValueError(f"max_n must be an int >= 1, got {max_n!r}")
+    stirling._check_int(max_n, "max_n", 1)
     known = check_ids()
     if selection is not None:
         if isinstance(selection, str):

@@ -14,7 +14,7 @@ def test_bell_explicit_values():
     assert str(msp.bell_explicit(5, 3)) == "15*X1*X2^2 + 10*X1^2*X3"
     assert str(msp.bell_explicit(6, 2)) == "10*X3^2 + 15*X2*X4 + 6*X1*X5"
     for n in range(1, 8):
-        assert msp.bell_explicit(n, n) == X1**n
+        assert msp.bell_explicit(n, n) == MPoly.monomial(1, (n,))
 
 
 def test_bell_boundary_conventions():
@@ -82,7 +82,7 @@ def test_stirling_first_explicit_values():
         " + 35*X1^3*X3*X4 + 21*X1^3*X2*X5 - X1^4*X6"
     )
     for n in range(1, 8):
-        assert msp.stirling_first_explicit(n, n) == X1 ** (n - 1)
+        assert msp.stirling_first_explicit(n, n) == MPoly.monomial(1, (n - 1,))
 
 
 def test_stirling_first_recursive():
@@ -120,7 +120,7 @@ def test_compose_transform():
     assert str(msp.compose_transform(5, 3)) == "45*X1^2*X2^2 - 10*X1^3*X3"
     assert msp.compose_transform(6, 2) == msp.stirling_first_explicit(6, 2)
     for n in range(2, 9):
-        assert msp.compose_transform(n, n) == X1 ** (n - 1)
+        assert msp.compose_transform(n, n) == MPoly.monomial(1, (n - 1,))
     with pytest.raises(ValueError):
         msp.compose_transform(5, 1)
 
@@ -167,7 +167,7 @@ def test_cor45_and_eq68():
     assert msp.cor45_expand(5, 2) == parse_poly("10*X2*X3 + 5*X1*X4")
     assert msp.eq68_invert(4, 2) == parse_poly("3*X2^2")
     for n in range(1, 10):
-        assert msp.cor45_expand(n, n) == X1**n
+        assert msp.cor45_expand(n, n) == MPoly.monomial(1, (n,))
         for k in range(1, n + 1):
             assert msp.cor45_expand(n, k) == msp.bell_explicit(n, k)
             assert msp.eq68_invert(n, k) == msp.assoc_bell(n, k)
@@ -336,11 +336,11 @@ def test_bell_recursive_checks_indices_before_k0(n, k):
 
 @pytest.mark.parametrize("n", [2.5, 3.0, True, 0])
 def test_complete_bell_rejects_non_int_or_small_n(n):
-    with pytest.raises(ValueError, match="complete Bell"):
+    with pytest.raises(ValueError, match="n must be an int >= 1"):
         msp.complete_bell(n)
 
 
 @pytest.mark.parametrize("n", [3.0, True, 1])
 def test_snk1_nested_rejects_non_int_or_small_n(n):
-    with pytest.raises(ValueError, match="nested sum"):
+    with pytest.raises(ValueError, match="n must be an int >= 2"):
         msp.snk1_nested(n)

@@ -376,3 +376,9 @@ def test_format_type():
     assert format_type((1, 0, 2)) == "1,0,2"
     assert format_type(()) == "0"
     assert [format_type(r) for r in partition_types(4, 2)] == ["0,2", "1,0,1"]
+
+
+@pytest.mark.parametrize("r", [5, "ab", [1, 2], None], ids=repr)
+def test_format_type_rejects_non_tuples(r):
+    with pytest.raises(ValueError, match="a partition type is a tuple"):
+        format_type(r)

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from mspkit import series, stirling
-from mspkit.poly import MPoly
 from mspkit.ptypes import partition_types
 
 # ---------------------------------------------------------------------------
@@ -170,7 +169,7 @@ def test_lah_tables():
     ],
 )
 def test_negative_table_size_rejected(build):
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="nmax must be an int >= 0"):
         build(-1)
 
 
@@ -183,8 +182,6 @@ SIZE_CASES = {
     "assoc_s2_table 2.5": lambda: stirling.assoc_s2_table(2.5),
     "convolution_table 2.0": lambda: stirling.convolution_table(2.0, [0, 1, 1, 1]),
     "convolution_table True": lambda: stirling.convolution_table(True, [0, 1]),
-    "pow 2.0": lambda: (MPoly.var(1) + 1) ** 2.0,
-    "pow True": lambda: (MPoly.var(1) + 1) ** True,
 }
 
 
