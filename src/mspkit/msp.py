@@ -5,7 +5,9 @@ cached by the single core `family(kind, n, k, cache)`:
 
     S    first kind: stirling_fn over P(2n-1-k, n-1)
     B    second kind (partial exponential Bell): subset_fn over P(n, k)
-    Bt   associated Bell: subset_fn over the types of P(n, k) with r1 = 0
+    Bt   associated Bell: subset_fn over the types of P(n, k) with r1 = 0,
+         built as (0,) + r for r in P(n-k, k) (one element of each block
+         set aside leaves a type of P(n-k, k))
     L    Lah: order_fn over P(n, k)
     A    the Laurent family S_{n,k} / X1^(2n-1), derived from S
 
@@ -79,10 +81,11 @@ def family(kind: str, n: int, k: int, cache: MspCache | None = None) -> CacheVal
         return c.put(kind, n, k, LaurentX1(family("S", n, k, c), 2 * n - 1))
     if kind == "S":
         types, weight = partition_types(2 * n - 1 - k, n - 1), stirling_fn
-    elif kind in ("B", "Bt", "L"):
+    elif kind in ("B", "L"):
         types, weight = partition_types(n, k), order_fn if kind == "L" else subset_fn
-        if kind == "Bt":
-            types = [r for r in types if not (r and r[0])]
+    elif kind == "Bt":
+        # no block of size 1: drop one element from each block, leaving P(n-k, k)
+        types, weight = [(0,) + r for r in partition_types(n - k, k)], subset_fn
     else:
         raise _unknown_family(kind)
     return c.put(kind, n, k, MPoly({r: weight(r) for r in types}))
@@ -148,7 +151,8 @@ def complete_bell(n: int, cache: MspCache | None = None) -> MPoly:
 
 
 def assoc_bell(n: int, k: int, cache: MspCache | None = None) -> MPoly:
-    """Associated Bell polynomial: B_{n,k} restricted to types with r1 = 0."""
+    """Associated Bell polynomial: B_{n,k} restricted to types with r1 = 0,
+    enumerated directly as (0,) + r for the types r of P(n-k, k)."""
     _check_triangle(n, k, 0)
     return family("Bt", n, k, cache)
 

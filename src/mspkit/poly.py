@@ -249,6 +249,10 @@ class MPoly:
 
         An exponent above 32767 raises only if it survives in the sum.
         """
+        try:
+            parts = iter(parts)
+        except TypeError:
+            raise ValueError(f"parts {parts!r} is not an iterable of triples") from None
         out: dict[int, int] = {}
         get = out.get
         for a, b, c in parts:
@@ -289,6 +293,8 @@ class MPoly:
 
         Every indeterminate occurring in the polynomial must have an entry.
         """
+        if not isinstance(subs, (list, tuple)) or not all(isinstance(s, MPoly) for s in subs):
+            raise ValueError(f"substitution {subs!r} is not a list or tuple of MPolys")
         if self.width() > len(subs):
             raise ValueError(
                 f"substitution covers X1..X{len(subs)} but X{self.width()} occurs"
@@ -586,9 +592,12 @@ class LaurentX1:
     __rmul__ = __mul__
 
     def eval_rat(self, point: Sequence[Fraction | int]) -> Fraction:
-        if self._den and (not point or point[0] == 0):
+        value = self._num.eval_rat(point)  # checks the point
+        if not self._den:
+            return value
+        if not point or point[0] == 0:
             raise ValueError(f"X1 must be nonzero under the denominator X1^{self._den}")
-        return self._num.eval_rat(point) / (point[0] ** self._den if self._den else 1)
+        return value / point[0] ** self._den
 
     def __str__(self) -> str:
         num = format_poly(self._num)

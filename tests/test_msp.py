@@ -6,6 +6,7 @@ import pytest
 
 from mspkit import msp
 from mspkit.poly import LaurentX1, MPoly, parse_poly
+from mspkit.ptypes import partition_types, subset_fn
 
 X1, X2 = MPoly.var(1), MPoly.var(2)
 
@@ -61,6 +62,25 @@ def test_assoc_is_bell_at_x1_zero():
             width = n - k + 1
             subs = [MPoly.zero()] + [MPoly.var(j) for j in range(2, width + 1)]
             assert msp.bell_explicit(n, k).substitute(subs) == msp.assoc_bell(n, k)
+
+
+def singleton_free_types(n: int, k: int) -> list[tuple[int, ...]]:
+    """The types of P(n, k) with r1 = 0, filtered out of all of P(n, k)."""
+    return [r for r in partition_types(n, k) if not (r and r[0])]
+
+
+def test_singleton_free_types_are_shifted_types_of_p_n_minus_k():
+    for n in range(1, 31):
+        for k in range(1, n + 1):
+            direct = [(0,) + r for r in partition_types(n - k, k)]
+            assert direct == singleton_free_types(n, k), (n, k)
+
+
+def test_assoc_family_weighs_the_singleton_free_types():
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            want = MPoly({r: subset_fn(r) for r in singleton_free_types(n, k)})
+            assert msp.family("Bt", n, k, msp.MspCache()) == want, (n, k)
 
 
 def test_lah_poly():

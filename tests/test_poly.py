@@ -809,8 +809,26 @@ def test_eval_rat_rejects_inexact_points_and_poles(value, point):
         value.eval_rat(point)
 
 
-@pytest.mark.parametrize("value", [X1, MPoly.const(3), LaurentX1(X1 + 1)])
+@pytest.mark.parametrize("value", [X1, MPoly.const(3), LaurentX1(X1 + 1), LaurentX1(X1 + X2, 1)])
 @pytest.mark.parametrize("point", [None, 1, {1: 2}, iter([1])])
 def test_eval_rat_point_must_be_a_list_or_tuple(value, point):
     with pytest.raises(ValueError, match="is not a list or tuple"):
         value.eval_rat(point)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: X1.substitute(5), "substitution 5 is not a list or tuple of MPolys"),
+        (lambda: X1.substitute(iter([X1])), "is not a list or tuple of MPolys"),
+        (lambda: X1.substitute([1.5]), r"substitution \[1.5\] is not a list or tuple of MPolys"),
+        (lambda: (X1 + X2).substitute([X2, "X1"]), "is not a list or tuple of MPolys"),
+        (lambda: MPoly.sum_products(5), "parts 5 is not an iterable of triples"),
+        (lambda: MPoly.sum_products(None), "parts None is not an iterable of triples"),
+    ],
+    ids=["substitute-int", "substitute-iterator", "substitute-float", "substitute-str",
+         "sum-products-int", "sum-products-none"],
+)
+def test_substitute_and_sum_products_reject_wrong_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

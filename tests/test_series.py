@@ -516,6 +516,11 @@ def test_revert_comtet_matches_both_at_orders_9_to_14():
         assert series.revert_comtet(f, msp.MspCache()) == want, order
 
 
+def test_revert_comtet_matches_oracle_at_order_30():
+    f = random_egf(random.Random("comtet-30"), 30)
+    assert series.revert_comtet(f, msp.MspCache()) == series.revert_oracle(f)
+
+
 def fraction_power_table_oracle(f: EgfCoeffs) -> EgfCoeffs:
     """The power-table solve of f(g(x)) = x done in Fractions throughout:
     P[m][n] = [x^n] g(x)^m in ordinary normalization, filled one degree at a
