@@ -2,7 +2,10 @@
 
 Subcommands: msp gen, stirling table, series {revert|compose|exp-transform},
 ptypes list, verify run.  Each leaf parser names its handler with
-set_defaults(run=...), and main calls it.  All machine-readable output goes
+set_defaults(run=...), and main calls it.  main builds only the part of the
+command tree that argv selects, and all of it at a level where argv names no
+command or leaf, so help texts and usage errors are those of the whole tree;
+the parser is built afresh on every call.  All machine-readable output goes
 to stdout, diagnostics to stderr.  Exit status: 0 on success, 1 on a failed
 check, a path disagreement or a reader that closed stdout early, 2 on usage
 errors.
@@ -20,6 +23,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from . import msp, series, stirling, verify
 from .ptypes import format_type, partition_types
@@ -51,73 +55,106 @@ def _parse_coeffs(text: str) -> tuple[Fraction, ...]:
         raise argparse.ArgumentTypeError(f"bad coefficient list {text!r}: {exc}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _msp_gen_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", required=True, choices=msp.KINDS)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--format", default="text", choices=["text", "json", "latex"])
+    p.add_argument(
+        "--force",
+        action="store_true",
+        help=f"allow n beyond the default depth limit of {DEFAULT_GEN_DEPTH}",
+    )
+    p.set_defaults(run=_cmd_msp_gen)
+
+
+def _stirling_table_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", required=True, choices=["s1", "s2", "c", "assoc", "lah"])
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--format", default="text", choices=["text", "json", "csv"])
+    p.set_defaults(run=_cmd_stirling_table)
+
+
+def _series_revert_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--coeffs", type=_parse_coeffs, required=True)
+    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--path", default="msp", choices=["msp", "comtet", "oracle", "all"])
+    p.set_defaults(run=_cmd_series_revert)
+
+
+def _series_compose_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--f", type=_parse_coeffs, required=True)
+    p.add_argument("--g", type=_parse_coeffs, required=True)
+    p.add_argument("--order", type=int, required=True)
+    p.set_defaults(run=_cmd_series_compose)
+
+
+def _series_exp_transform_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--coeffs", type=_parse_coeffs, required=True)
+    p.add_argument("--order", type=int, required=True)
+    p.set_defaults(run=_cmd_series_exp_transform)
+
+
+def _ptypes_list_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("n", type=int)
+    p.add_argument("k", type=int)
+    p.set_defaults(run=_cmd_ptypes_list)
+
+
+def _verify_run_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--only", default=None, help="comma-separated check ids")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", default="text", choices=["text", "json"])
+    p.set_defaults(run=_cmd_verify_run)
+
+
+# command -> (help, {leaf -> (help, function that adds the leaf's arguments)}),
+# in the order that help and usage lines list them
+_COMMANDS = {
+    "msp": ("polynomial generation", {
+        "gen": ("generate a polynomial family member", _msp_gen_arguments),
+    }),
+    "stirling": ("integer number tables", {
+        "table": ("emit a triangular number table", _stirling_table_arguments),
+    }),
+    "series": ("exact EGF arithmetic", {
+        "revert": ("compositional inverse", _series_revert_arguments),
+        "compose": ("composition f(g(x))", _series_compose_arguments),
+        "exp-transform": ("rows of exp(t*f)", _series_exp_transform_arguments),
+    }),
+    "ptypes": ("partition types", {
+        "list": ("list all (n,k)-partition types", _ptypes_list_arguments),
+    }),
+    "verify": ("identity-check suite", {
+        "run": ("run the suite", _verify_run_arguments),
+    }),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for `argv`.  Every command name is registered, but only the
+    command that argv[0] names gets its leaves, and only the leaf that argv[1]
+    names gets its arguments.  Where argv names none, as with -h, nothing or a
+    typo, every child at that level is built, so help texts and errors read as
+    for the whole tree."""
     parser = argparse.ArgumentParser(
         prog="mspkit",
         description="Exact multivariate Stirling polynomials, number tables, "
         "series reversion and the identity-check suite.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_msp = sub.add_parser("msp", help="polynomial generation")
-    msp_sub = p_msp.add_subparsers(dest="subcommand", required=True)
-    p_gen = msp_sub.add_parser("gen", help="generate a polynomial family member")
-    p_gen.add_argument("--kind", required=True, choices=msp.KINDS)
-    p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--k", type=int, default=None)
-    p_gen.add_argument("--format", default="text", choices=["text", "json", "latex"])
-    p_gen.add_argument(
-        "--force",
-        action="store_true",
-        help=f"allow n beyond the default depth limit of {DEFAULT_GEN_DEPTH}",
-    )
-    p_gen.set_defaults(run=_cmd_msp_gen)
-
-    p_st = sub.add_parser("stirling", help="integer number tables")
-    st_sub = p_st.add_subparsers(dest="subcommand", required=True)
-    p_table = st_sub.add_parser("table", help="emit a triangular number table")
-    p_table.add_argument(
-        "--kind", required=True, choices=["s1", "s2", "c", "assoc", "lah"]
-    )
-    p_table.add_argument("--n", type=int, required=True)
-    p_table.add_argument("--format", default="text", choices=["text", "json", "csv"])
-    p_table.set_defaults(run=_cmd_stirling_table)
-
-    p_series = sub.add_parser("series", help="exact EGF arithmetic")
-    se_sub = p_series.add_subparsers(dest="subcommand", required=True)
-    p_revert = se_sub.add_parser("revert", help="compositional inverse")
-    p_revert.add_argument("--coeffs", type=_parse_coeffs, required=True)
-    p_revert.add_argument("--order", type=int, required=True)
-    p_revert.add_argument(
-        "--path", default="msp", choices=["msp", "comtet", "oracle", "all"]
-    )
-    p_revert.set_defaults(run=_cmd_series_revert)
-    p_compose = se_sub.add_parser("compose", help="composition f(g(x))")
-    p_compose.add_argument("--f", type=_parse_coeffs, required=True)
-    p_compose.add_argument("--g", type=_parse_coeffs, required=True)
-    p_compose.add_argument("--order", type=int, required=True)
-    p_compose.set_defaults(run=_cmd_series_compose)
-    p_exp = se_sub.add_parser("exp-transform", help="rows of exp(t*f)")
-    p_exp.add_argument("--coeffs", type=_parse_coeffs, required=True)
-    p_exp.add_argument("--order", type=int, required=True)
-    p_exp.set_defaults(run=_cmd_series_exp_transform)
-
-    p_pt = sub.add_parser("ptypes", help="partition types")
-    pt_sub = p_pt.add_subparsers(dest="subcommand", required=True)
-    p_list = pt_sub.add_parser("list", help="list all (n,k)-partition types")
-    p_list.add_argument("n", type=int)
-    p_list.add_argument("k", type=int)
-    p_list.set_defaults(run=_cmd_ptypes_list)
-
-    p_verify = sub.add_parser("verify", help="identity-check suite")
-    ve_sub = p_verify.add_subparsers(dest="subcommand", required=True)
-    p_run = ve_sub.add_parser("run", help="run the suite")
-    p_run.add_argument("--max-n", type=int, required=True)
-    p_run.add_argument("--only", default=None, help="comma-separated check ids")
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--format", default="text", choices=["text", "json"])
-    p_run.set_defaults(run=_cmd_verify_run)
-
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    leaf = argv[1] if command and len(argv) > 1 else None
+    for name, (text, leaves) in _COMMANDS.items():
+        p_command = sub.add_parser(name, help=text)
+        if command not in (None, name):
+            continue
+        leaf_sub = p_command.add_subparsers(dest="subcommand", required=True)
+        for leaf_name, (leaf_text, add_arguments) in leaves.items():
+            if leaf in leaves and leaf_name != leaf:
+                continue
+            add_arguments(leaf_sub.add_parser(leaf_name, help=leaf_text))
     return parser
 
 
@@ -282,8 +319,9 @@ def _cmd_verify_run(parser, args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+def main(argv: Iterable[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     args = parser.parse_args(argv)
     try:
         status = args.run(parser, args)

@@ -255,7 +255,12 @@ class MPoly:
             raise ValueError(f"parts {parts!r} is not an iterable of triples") from None
         out: dict[int, int] = {}
         get = out.get
-        for a, b, c in parts:
+        for part in parts:
+            # only the unpacking: an error raised by the iterable itself passes on
+            try:
+                a, b, c = part
+            except (TypeError, ValueError):
+                raise ValueError(f"part {part!r} is not an (MPoly, MPoly, int) triple") from None
             if not isinstance(a, MPoly) or not isinstance(b, MPoly):
                 bad = b if isinstance(a, MPoly) else a
                 raise ValueError(f"factor {bad!r} is not an MPoly")

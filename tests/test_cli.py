@@ -454,3 +454,74 @@ def test_size_arguments_out_of_bounds_exit_2(capsys, monkeypatch, label, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert name in captured.err
+
+
+# ---------------------------------------------------------------------------
+# the parser built for one argv parses it as the whole tree does; an argv that
+# names no command, such as [], builds the whole tree
+# ---------------------------------------------------------------------------
+
+LEAF_ARGS = {
+    ("msp", "gen"): ["--kind", "S", "--n", "3", "--k", "1", "--format", "latex", "--force"],
+    ("stirling", "table"): ["--kind", "lah", "--n", "4", "--format", "csv"],
+    ("series", "revert"): ["--coeffs", "1,1/2", "--order", "3", "--path", "all"],
+    ("series", "compose"): ["--f", "1,1", "--g", "1,-1", "--order", "3"],
+    ("series", "exp-transform"): ["--coeffs", "1,2", "--order", "3"],
+    ("ptypes", "list"): ["5", "2"],
+    ("verify", "run"): ["--max-n", "4", "--only", "table1-golden", "--seed", "3",
+                        "--format", "json"],
+}
+
+PARSER_ARGVS = [
+    [], ["-h"], ["bogus"],
+    *[[command, "-h"] for command in cli._COMMANDS],
+    *[[command, "bogus"] for command in cli._COMMANDS],
+    *[[*leaf, *args] for leaf, args in LEAF_ARGS.items()],
+    *[[*leaf, "-h"] for leaf in LEAF_ARGS],
+    # every leaf has a required argument
+    *[list(leaf) for leaf in LEAF_ARGS],
+    *[[*leaf, *args, "--bogus"] for leaf, args in LEAF_ARGS.items()],
+]
+
+
+def parse_outcome(parser, argv, capsys):
+    """The parsed arguments, or the exit code, with the captured output."""
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_parser_for_argv_parses_it_as_the_whole_tree(capsys, argv):
+    whole, slim = cli._build_parser([]), cli._build_parser(argv)
+    # handlers report usage errors through the top-level parser
+    assert slim.format_usage() == whole.format_usage()
+    assert parse_outcome(slim, argv, capsys) == parse_outcome(whole, argv, capsys)
+
+
+def test_parser_for_one_leaf_builds_no_other_subtree(capsys):
+    parser = cli._build_parser(["series", "compose"])
+    for argv, error in [
+        (["series", "revert", "--coeffs", "1", "--order", "1"], "invalid choice: 'revert'"),
+        (["msp", "gen", "--kind", "S", "--n", "3"], "unrecognized arguments: gen"),
+    ]:
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+        assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["ptypes", "list", "5", "2"],
+                                  ["series", "compose", "--f", "1,1", "--g", "1", "--order", "3"]])
+def test_main_takes_a_list_tuple_or_iterator(capsys, argv):
+    outcomes = [(cli.main(seq), capsys.readouterr().out)
+                for seq in (argv, tuple(argv), iter(argv))]
+    assert outcomes == [(0, outcomes[0][1])] * 3
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["mspkit", "ptypes", "list", "5", "2"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out == "0,1,1\n1,0,0,1\n"

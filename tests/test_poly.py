@@ -777,12 +777,25 @@ def test_sum_products_cancels_and_takes_empty_input():
         ((X1, X2, 1.0), "coefficient 1.0 is not an int"),
         ((X1, X2, Fraction(2)), "coefficient Fraction(2, 1) is not an int"),
         ((X1, X2, "1"), "coefficient '1' is not an int"),
+        (5, "part 5 is not an (MPoly, MPoly, int) triple"),
+        ((X1, X2), "part (MPoly('X1'), MPoly('X2')) is not an (MPoly, MPoly, int) triple"),
+        ((X1, X2, 1, 1),
+         "part (MPoly('X1'), MPoly('X2'), 1, 1) is not an (MPoly, MPoly, int) triple"),
     ],
 )
 def test_sum_products_rejects_bad_parts(part, message):
     with pytest.raises(ValueError) as exc:
         MPoly.sum_products([(X1, X2, 1), part])
     assert str(exc.value) == message
+
+
+def test_sum_products_passes_on_a_type_error_of_the_parts_iterable():
+    def parts():
+        yield X1, X2, 1
+        raise TypeError("raised by the caller's generator")
+
+    with pytest.raises(TypeError, match="raised by the caller's generator"):
+        MPoly.sum_products(parts())
 
 
 # ---------------------------------------------------------------------------
