@@ -3,7 +3,8 @@
 Every explicit family is one weighted sum over partition types, built and
 cached by the single core `family(kind, n, k, cache)`:
 
-    S    first kind: stirling_fn over P(2n-1-k, n-1)
+    S    first kind: the stirling_fn sum over P(2n-1-k, n-1), built by one
+         descent that carries each coefficient down to its type
     B    second kind (partial exponential Bell): subset_fn over P(n, k)
     Bt   associated Bell: subset_fn over the types of P(n, k) with r1 = 0,
          built as (0,) + r for r in P(n-k, k) (one element of each block
@@ -32,10 +33,10 @@ recursive results must agree, which the verify module checks structurally.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
-from .poly import LaurentX1, MPoly
-from .ptypes import order_fn, partition_types, stirling_fn, subset_fn
+from .poly import _MAX_EXPONENT, LaurentX1, MPoly, _raw, _unit
+from .ptypes import order_fn, partition_types, subset_fn
 from .stirling import _check_int, _check_triangle, schloemilch_ladder
 
 CacheValue = MPoly | LaurentX1
@@ -80,8 +81,8 @@ def family(kind: str, n: int, k: int, cache: MspCache | None = None) -> CacheVal
     if kind == "A":
         return c.put(kind, n, k, LaurentX1(family("S", n, k, c), 2 * n - 1))
     if kind == "S":
-        types, weight = partition_types(2 * n - 1 - k, n - 1), stirling_fn
-    elif kind in ("B", "L"):
+        return c.put(kind, n, k, _first_kind(n, k))
+    if kind in ("B", "L"):
         types, weight = partition_types(n, k), order_fn if kind == "L" else subset_fn
     elif kind == "Bt":
         # no block of size 1: drop one element from each block, leaving P(n-k, k)
@@ -89,6 +90,55 @@ def family(kind: str, n: int, k: int, cache: MspCache | None = None) -> CacheVal
     else:
         raise _unknown_family(kind)
     return c.put(kind, n, k, MPoly({r: weight(r) for r in types}))
+
+
+def _first_kind(n: int, k: int) -> MPoly:
+    """S_{n,k} for 1 <= k <= n, by one descent over the types r of P(2n-1-k, n-1).
+
+    The coefficient of X^r, the paper's stirling_fn(r), factors as
+
+        (-1)^(n-1-r1) C(2n-2-r1, k-1) * m! / prod_{j>=2} r_j! (j!)^r_j,
+
+    m = 2n-1-k-r1, where the last factor counts the partitions of m labelled
+    elements into blocks of type r, all of size >= 2.  The descent takes r1
+    first, then the blocks size by size as partition_types does, carrying that
+    count and the packed key of X^r down to each type.
+    """
+    # every exponent r_j is at most the n-1 blocks; this stands in for the
+    # constructor's field check, which the raw dict below skips
+    if n - 1 > _MAX_EXPONENT:
+        raise ValueError(f"exponent {n - 1} of S_{{{n},{k}}} exceeds {_MAX_EXPONENT}")
+    terms: dict[int, int] = {}
+    # units[j] is the key of X_j for every block size j the descent meets:
+    # up to n+1-k, the largest block, and j = 2 when k = n
+    units = [0, *map(_unit, range(1, n + 3 - k))]
+
+    def place(j: int, rest: int, left: int, key: int, count: int):
+        # `left` blocks of sizes >= j hold the `rest` elements still unplaced
+        unit = units[j]
+        if rest == j * left:
+            # every remaining block has size j (or none remains)
+            terms[key + left * unit] = count * (
+                factorial(rest) // (factorial(left) * factorial(j) ** left))
+            return
+        # the left - r_j >= 2 blocks of size > j need
+        # rest - j*r_j >= (j+1)*(left - r_j), a lower bound on r_j
+        low = (j + 1) * left - rest
+        for rj in range(left - 1):
+            if rj >= low:
+                place(j + 1, rest - j * rj, left - rj, key + rj * unit, count)
+            # choose one more block of size j; count stays an integer
+            count = count * comb(rest - j * rj, j) // (rj + 1)
+        # one block is left: it holds the rest - j*(left-1) > j elements
+        terms[key + (left - 1) * unit + units[rest - j * (left - 1)]] = count
+
+    # r1 singletons leave 2n-1-k-r1 elements in n-1-r1 blocks of size >= 2,
+    # so r1 >= k-1, and r1 = n-1 (no such block) only if no element is left
+    for r1 in range(k - 1, n if k == n else n - 1):
+        lead = comb(2 * n - 2 - r1, k - 1)
+        place(2, 2 * n - 1 - k - r1, n - 1 - r1, r1 * units[1],
+              lead if (n - 1 - r1) % 2 == 0 else -lead)
+    return _raw(terms)
 
 
 def _unknown_family(kind: str) -> ValueError:

@@ -41,6 +41,11 @@ _MAX_EXPONENT = 2**15 - 1
 _FIELD = 0xFFFF  # one exponent field; the X1 field of a key is key & _FIELD
 
 
+def _unit(j: int) -> int:
+    """The key of X_j: a 1 in field j-1 (a key times e is the key of X_j^e)."""
+    return 1 << 16 * (j - 1)
+
+
 class _Memo(dict):
     """A dict that fills a missing entry with make(key)."""
 
@@ -152,7 +157,7 @@ class MPoly:
         """The indeterminate X_j (1-based)."""
         if type(j) is not int or j < 1:
             raise ValueError(f"indeterminate index must be an int >= 1, got {j!r}")
-        return _raw({1 << 16 * (j - 1): 1})
+        return _raw({_unit(j): 1})
 
     @classmethod
     def monomial(cls, coeff: int, exps: Iterable[int]) -> MPoly:

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from mspkit import msp
+from mspkit import msp, ptypes, series, stirling
 from mspkit.poly import LaurentX1, MPoly, parse_poly
-from mspkit.ptypes import partition_types, subset_fn
+from mspkit.ptypes import partition_types, stirling_fn, subset_fn
 
 X1, X2 = MPoly.var(1), MPoly.var(2)
 
@@ -103,6 +103,56 @@ def test_stirling_first_explicit_values():
     )
     for n in range(1, 8):
         assert msp.stirling_first_explicit(n, n) == MPoly.monomial(1, (n - 1,))
+
+
+def test_first_kind_descent_matches_the_closed_form():
+    # the paper's coefficient function, weighed type by type, stays the
+    # reference for the descent that builds family("S")
+    for n in [*range(1, 21), 26, 30]:
+        for k in range(1, n + 1):
+            want = MPoly({r: stirling_fn(r) for r in partition_types(2 * n - 1 - k, n - 1)})
+            assert msp.family("S", n, k, msp.MspCache()) == want, (n, k)
+
+
+def test_first_kind_exponent_limit():
+    # the top exponent of S_{n,k} is n-1, of X1 in S_{n,n}; the descent skips
+    # the constructor's field check, so its own guard must raise
+    assert msp.family("S", 32768, 32768, msp.MspCache()) == MPoly.monomial(1, (32767,))
+    with pytest.raises(ValueError, match="exceeds 32767"):
+        msp.family("S", 32769, 32769, msp.MspCache())
+
+
+def forbid(m, names):
+    """Make each name fail when called, wherever msp, ptypes, stirling or series
+    holds it."""
+    for name in names:
+        def fail(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} was called")
+
+        for module in (msp, ptypes, stirling, series):
+            if hasattr(module, name):
+                m.setattr(module, name, fail)
+
+
+def test_first_kind_paths_share_no_computation(monkeypatch):
+    want = [msp.stirling_first_explicit(12, k, msp.MspCache()) for k in range(1, 13)]
+    # the descent enumerates no type list, weighs no type and reads neither
+    # the Schloemilch ladder nor the series recursion
+    with monkeypatch.context() as m:
+        forbid(m, ("stirling_fn", "partition_types", "schloemilch_ladder", "_lie_values"))
+        assert [msp.stirling_first_explicit(12, k, msp.MspCache())
+                for k in range(1, 13)] == want
+        with pytest.raises(AssertionError, match="was called"):
+            msp.stirling_first_from_assoc(12, 3, msp.MspCache())
+    # and the recursive and associated-Bell paths do not run the descent
+    with monkeypatch.context() as m:
+        forbid(m, ("_first_kind",))
+        assert [msp.stirling_first_recursive(12, k, msp.MspCache())
+                for k in range(1, 13)] == want
+        assert [msp.stirling_first_from_assoc(12, k, msp.MspCache())
+                for k in range(1, 13)] == want
+        with pytest.raises(AssertionError, match="_first_kind was called"):
+            msp.stirling_first_explicit(12, 3, msp.MspCache())
 
 
 def test_stirling_first_recursive():

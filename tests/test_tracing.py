@@ -33,14 +33,20 @@ def test_tracer_sees_every_msp_layer(capsys, monkeypatch):
     tracer.install()
     tracer.enabled = True
     spans = tracer.spans
+    keys = ("ptypes.partition_types", "ptypes.weight", "msp.explicit")
     try:
         for kind in ("S", "B", "Bt", "L", "A"):
             # a cold default cache, as in a fresh `msp gen` process
             msp._DEFAULT_CACHE = msp.MspCache()
-            before = spans["ptypes.partition_types"][0], spans["ptypes.weight"][0]
+            before = [spans[key][0] for key in keys]
             assert cli.main(["msp", "gen", "--kind", kind, "--n", "6"]) == 0
-            after = spans["ptypes.partition_types"][0], spans["ptypes.weight"][0]
-            assert after[0] > before[0] and after[1] > before[1], kind
+            after = [spans[key][0] for key in keys]
+            assert after[2] > before[2], kind
+            if kind in ("S", "A"):
+                # the first-kind descent enumerates no type list and calls no weight
+                assert after[:2] == before[:2], kind
+            else:
+                assert after[0] > before[0] and after[1] > before[1], kind
         msp.cor45_expand(6, 3, msp.MspCache())
         msp.bell_recursive(6, 3, msp.MspCache())
     finally:
