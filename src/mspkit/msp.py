@@ -3,14 +3,18 @@
 Every explicit family is one weighted sum over partition types, built and
 cached by the single core `family(kind, n, k, cache)`:
 
-    S    first kind: the stirling_fn sum over P(2n-1-k, n-1), built by one
-         descent that carries each coefficient down to its type
+    S    first kind: the stirling_fn sum over P(2n-1-k, n-1)
     B    second kind (partial exponential Bell): subset_fn over P(n, k)
+    L    Lah: order_fn over P(n, k)
     Bt   associated Bell: subset_fn over the types of P(n, k) with r1 = 0,
          built as (0,) + r for r in P(n-k, k) (one element of each block
-         set aside leaves a type of P(n-k, k))
-    L    Lah: order_fn over P(n, k)
+         set aside leaves a type of P(n-k, k)), weighed type by type
     A    the Laurent family S_{n,k} / X1^(2n-1), derived from S
+
+S, B and L share one descent, `_blocks`, that places labelled elements into
+blocks size by size and carries each coefficient down to its type; no type
+tuple or weight call is made.  Bt stays on partition_types and subset_fn, so
+that the identity checks pairing it with S or B compare two computations.
 
 `family` extends each kind by zero: 1 at (0,0) and 0 elsewhere outside
 1 <= k <= n (a LaurentX1 for A, an MPoly otherwise), uncached.  It takes
@@ -33,10 +37,10 @@ recursive results must agree, which the verify module checks structurally.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .poly import _MAX_EXPONENT, LaurentX1, MPoly, _raw, _unit
-from .ptypes import order_fn, partition_types, subset_fn
+from .ptypes import partition_types, subset_fn
 from .stirling import _check_int, _check_triangle, schloemilch_ladder
 
 CacheValue = MPoly | LaurentX1
@@ -83,13 +87,55 @@ def family(kind: str, n: int, k: int, cache: MspCache | None = None) -> CacheVal
     if kind == "S":
         return c.put(kind, n, k, _first_kind(n, k))
     if kind in ("B", "L"):
-        types, weight = partition_types(n, k), order_fn if kind == "L" else subset_fn
-    elif kind == "Bt":
+        # every exponent r_j is at most the k blocks; this stands in for the
+        # constructor's field check, which the raw dict below skips
+        if k > _MAX_EXPONENT:
+            raise ValueError(f"exponent {k} of {kind}_{{{n},{k}}} exceeds {_MAX_EXPONENT}")
+        terms: dict[int, int] = {}
+        # n elements in k blocks, the largest of size n+1-k
+        _blocks(terms, n + 1 - k, kind == "L")(1, n, k, 0, 1)
+        return c.put(kind, n, k, _raw(terms))
+    if kind == "Bt":
         # no block of size 1: drop one element from each block, leaving P(n-k, k)
-        types, weight = [(0,) + r for r in partition_types(n - k, k)], subset_fn
-    else:
-        raise _unknown_family(kind)
-    return c.put(kind, n, k, MPoly({r: weight(r) for r in types}))
+        types = [(0,) + r for r in partition_types(n - k, k)]
+        return c.put(kind, n, k, MPoly({r: subset_fn(r) for r in types}))
+    raise _unknown_family(kind)
+
+
+def _blocks(terms: dict[int, int], top: int, ordered: bool = False):
+    """The descent behind S, B and L, as place(j, rest, left, key, count).
+
+    place splits `rest` labelled elements into `left` blocks of sizes j..top,
+    choosing r_j, r_{j+1}, ... in turn as partition_types does.  For each type
+    r it writes terms[key + key of X^r] = count * the number of such
+    partitions of type r, with unordered blocks, or with each block of size
+    j linearly ordered in j! ways when `ordered` (the Lah weight).
+    """
+    # units[j] is the key of X_j
+    units = [0, *map(_unit, range(1, top + 1))]
+    choose = perm if ordered else comb
+
+    def place(j: int, rest: int, left: int, key: int, count: int):
+        # `left` blocks of sizes >= j hold the `rest` elements still unplaced
+        unit = units[j]
+        if rest == j * left:
+            # every remaining block has size j (or none remains)
+            den = factorial(left) if ordered else factorial(left) * factorial(j) ** left
+            terms[key + left * unit] = count * (factorial(rest) // den)
+            return
+        # the left - r_j >= 2 blocks of size > j need
+        # rest - j*r_j >= (j+1)*(left - r_j), a lower bound on r_j
+        low = (j + 1) * left - rest
+        for rj in range(left - 1):
+            if rj >= low:
+                place(j + 1, rest - j * rj, left - rj, key + rj * unit, count)
+            # choose one more block of size j; count stays an integer
+            count = count * choose(rest - j * rj, j) // (rj + 1)
+        # one block is left: it holds the size > j elements not yet placed
+        size = rest - j * (left - 1)
+        terms[key + (left - 1) * unit + units[size]] = count * factorial(size) if ordered else count
+
+    return place
 
 
 def _first_kind(n: int, k: int) -> MPoly:
@@ -100,43 +146,22 @@ def _first_kind(n: int, k: int) -> MPoly:
         (-1)^(n-1-r1) C(2n-2-r1, k-1) * m! / prod_{j>=2} r_j! (j!)^r_j,
 
     m = 2n-1-k-r1, where the last factor counts the partitions of m labelled
-    elements into blocks of type r, all of size >= 2.  The descent takes r1
-    first, then the blocks size by size as partition_types does, carrying that
-    count and the packed key of X^r down to each type.
+    elements into blocks of type r, all of size >= 2.  The loop takes r1
+    first; `_blocks` then places the blocks of size >= 2, carrying that count
+    and the packed key of X^r down to each type.
     """
     # every exponent r_j is at most the n-1 blocks; this stands in for the
     # constructor's field check, which the raw dict below skips
     if n - 1 > _MAX_EXPONENT:
         raise ValueError(f"exponent {n - 1} of S_{{{n},{k}}} exceeds {_MAX_EXPONENT}")
     terms: dict[int, int] = {}
-    # units[j] is the key of X_j for every block size j the descent meets:
-    # up to n+1-k, the largest block, and j = 2 when k = n
-    units = [0, *map(_unit, range(1, n + 3 - k))]
-
-    def place(j: int, rest: int, left: int, key: int, count: int):
-        # `left` blocks of sizes >= j hold the `rest` elements still unplaced
-        unit = units[j]
-        if rest == j * left:
-            # every remaining block has size j (or none remains)
-            terms[key + left * unit] = count * (
-                factorial(rest) // (factorial(left) * factorial(j) ** left))
-            return
-        # the left - r_j >= 2 blocks of size > j need
-        # rest - j*r_j >= (j+1)*(left - r_j), a lower bound on r_j
-        low = (j + 1) * left - rest
-        for rj in range(left - 1):
-            if rj >= low:
-                place(j + 1, rest - j * rj, left - rj, key + rj * unit, count)
-            # choose one more block of size j; count stays an integer
-            count = count * comb(rest - j * rj, j) // (rj + 1)
-        # one block is left: it holds the rest - j*(left-1) > j elements
-        terms[key + (left - 1) * unit + units[rest - j * (left - 1)]] = count
-
+    # blocks of size >= 2, the largest of size n+1-k; j = 2 is met when k = n
+    place = _blocks(terms, max(n + 1 - k, 2))
     # r1 singletons leave 2n-1-k-r1 elements in n-1-r1 blocks of size >= 2,
     # so r1 >= k-1, and r1 = n-1 (no such block) only if no element is left
     for r1 in range(k - 1, n if k == n else n - 1):
         lead = comb(2 * n - 2 - r1, k - 1)
-        place(2, 2 * n - 1 - k - r1, n - 1 - r1, r1 * units[1],
+        place(2, 2 * n - 1 - k - r1, n - 1 - r1, r1 * _unit(1),
               lead if (n - 1 - r1) % 2 == 0 else -lead)
     return _raw(terms)
 

@@ -6,7 +6,7 @@ import pytest
 
 from mspkit import msp, ptypes, series, stirling
 from mspkit.poly import LaurentX1, MPoly, parse_poly
-from mspkit.ptypes import partition_types, stirling_fn, subset_fn
+from mspkit.ptypes import order_fn, partition_types, stirling_fn, subset_fn
 
 X1, X2 = MPoly.var(1), MPoly.var(2)
 
@@ -94,6 +94,27 @@ def test_lah_poly():
             assert v == (-1) ** n * unsigned
 
 
+def test_second_kind_descent_matches_the_per_type_weights():
+    # the paper's weights, type by type, stay the reference for both modes of
+    # the descent that builds family("B") and family("L")
+    for n in [*range(1, 21), 26, 30]:
+        for k in range(1, n + 1):
+            types = partition_types(n, k)
+            cache = msp.MspCache()
+            assert msp.family("B", n, k, cache) == MPoly({r: subset_fn(r) for r in types}), (n, k)
+            assert msp.family("L", n, k, cache) == MPoly({r: order_fn(r) for r in types}), (n, k)
+
+
+def test_second_kind_exponent_limit():
+    # the top exponent of B_{n,k} and L_{n,k} is k, of X1 in the (k, k)
+    # member; the descent skips the constructor's field check, so its own
+    # guard must raise
+    for kind in ("B", "L"):
+        assert msp.family(kind, 32767, 32767, msp.MspCache()) == MPoly.monomial(1, (32767,))
+        with pytest.raises(ValueError, match="exceeds 32767"):
+            msp.family(kind, 32768, 32768, msp.MspCache())
+
+
 def test_stirling_first_explicit_values():
     assert str(msp.stirling_first_explicit(4, 1)) == "-15*X2^3 + 10*X1*X2*X3 - X1^2*X4"
     assert (
@@ -153,6 +174,42 @@ def test_first_kind_paths_share_no_computation(monkeypatch):
                 for k in range(1, 13)] == want
         with pytest.raises(AssertionError, match="_first_kind was called"):
             msp.stirling_first_explicit(12, 3, msp.MspCache())
+
+
+def test_second_kind_paths_share_no_computation(monkeypatch):
+    def row(build):
+        return [build(12, k, msp.MspCache()) for k in range(1, 13)]
+
+    bell, lah, assoc = row(msp.bell_explicit), row(msp.lah_poly), row(msp.assoc_bell)
+    # the descent enumerates no type list and weighs no type, and eq6.8
+    # rebuilds Bt from B alone
+    with monkeypatch.context() as m:
+        forbid(m, ("partition_types", "subset_fn", "order_fn"))
+        assert row(msp.bell_explicit) == bell
+        assert row(msp.lah_poly) == lah
+        assert row(msp.eq68_invert) == assoc
+        with pytest.raises(AssertionError, match="was called"):
+            msp.assoc_bell(12, 3, msp.MspCache())
+    # crosspath-bell, cor4.5 and eq6.8 each read B on one side only: the
+    # recursive path, Bt and the expansion from Bt do not run the descent
+    with monkeypatch.context() as m:
+        forbid(m, ("_blocks",))
+        assert row(msp.bell_recursive) == bell
+        assert row(msp.assoc_bell) == assoc
+        assert row(msp.cor45_expand) == bell
+        for build in (msp.bell_explicit, msp.lah_poly, msp.eq68_invert):
+            with pytest.raises(AssertionError, match="_blocks was called"):
+                build(12, 3, msp.MspCache())
+    # thm6.1 weighs explicit S against the Bt ladder, so Bt must not reach
+    # the first-kind descent either
+    with monkeypatch.context() as m:
+        forbid(m, ("_first_kind", "_blocks"))
+        assert row(msp.assoc_bell) == assoc
+    # cor4.6 (L = B(j! X_j)) compares the two modes of `_blocks` on purpose:
+    # subset_fn is order_fn over prod (j!)^r_j, so two per-type sums would
+    # share their computation as well;
+    # test_second_kind_descent_matches_the_per_type_weights pins both modes
+    # to the per-type weights instead
 
 
 def test_stirling_first_recursive():

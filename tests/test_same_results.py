@@ -3,8 +3,9 @@
 A refactor must leave the `verify` report and the `msp gen` output unchanged
 byte for byte.  The sha256 digests below were recorded before `stirling` and
 `series` shared one triangle builder, one Prop 5.5 kernel and one term
-renderer.  A change that alters any of these outputs on purpose records new
-digests and says why in CHANGES.md.
+renderer; the n = 20 rows of B and L were recorded while those two kinds
+were still weighed type by type.  A change that alters any of these outputs
+on purpose records new digests and says why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -50,6 +51,18 @@ GEN_DIGESTS = {
 }
 
 
+# `msp gen --kind K --n 20 --format F --force`: whole rows, large enough that
+# every block-size branch of the B and L builds runs
+GEN20_DIGESTS = {
+    ("B", "text"): "25cbe81b849501202a2be0bafb3eeb98e704d0ef38583e5b3543a36675b420ef",
+    ("B", "json"): "ba4afb48f8c64d2ec14c3fb3dde62121924568ac43dfe4f39062a675733c55e9",
+    ("B", "latex"): "46d92ccc4c9f525d8b9326cf2734611eb7ffa9527eab388713a1bb5fa4fbf972",
+    ("L", "text"): "bc29f6bf81149f27a93bcbeb9bafaaeb0a116b384633de35de0281f0f4b0923e",
+    ("L", "json"): "cd491a304a8c8dd70b770fe71feb43998d92156e0697f91b75d2c03c016cc287",
+    ("L", "latex"): "06d4a6a9f4550bd1f374575a64e6dcbb491804dcb01791d1b9be81555f948d75",
+}
+
+
 @pytest.mark.parametrize("seed", sorted(REPORT_DIGESTS))
 def test_verify_report_digest(seed):
     report = verify.report_json(verify.run_suite(15, seed=seed), 15, seed)
@@ -68,3 +81,11 @@ def test_gen_output_digest(capsys, kind, fmt):
     for extra in runs:
         assert cli.main(["msp", "gen", "--kind", kind, *extra, "--format", fmt]) == 0
     assert sha256(capsys.readouterr().out) == GEN_DIGESTS[kind, fmt]
+
+
+@pytest.mark.parametrize("kind, fmt", sorted(GEN20_DIGESTS))
+def test_gen_row_20_digest(capsys, monkeypatch, kind, fmt):
+    monkeypatch.setattr(msp, "_DEFAULT_CACHE", msp.MspCache())
+    argv = ["msp", "gen", "--kind", kind, "--n", "20", "--format", fmt, "--force"]
+    assert cli.main(argv) == 0
+    assert sha256(capsys.readouterr().out) == GEN20_DIGESTS[kind, fmt]

@@ -42,8 +42,8 @@ def test_tracer_sees_every_msp_layer(capsys, monkeypatch):
             assert cli.main(["msp", "gen", "--kind", kind, "--n", "6"]) == 0
             after = [spans[key][0] for key in keys]
             assert after[2] > before[2], kind
-            if kind in ("S", "A"):
-                # the first-kind descent enumerates no type list and calls no weight
+            if kind in ("S", "B", "L", "A"):
+                # the block descent enumerates no type list and calls no weight
                 assert after[:2] == before[:2], kind
             else:
                 assert after[0] > before[0] and after[1] > before[1], kind
