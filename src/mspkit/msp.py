@@ -1,26 +1,29 @@
 """Generators for the multivariate Stirling polynomial families.
 
-Every explicit family is one weighted sum over partition types, built and
+Every explicit family is a weighted sum over partition types, built and
 cached by the single core `family(kind, n, k, cache)`:
 
-    S    first kind: the stirling_fn sum over P(2n-1-k, n-1)
-    B    second kind (partial exponential Bell): subset_fn over P(n, k)
-    L    Lah: order_fn over P(n, k)
+    S    first kind, over P(2n-1-k, n-1): r1 first, then blocks of size >= 2
+    B    second kind (partial exponential Bell), over P(n, k)
+    L    Lah, over P(n, k), with each block of size j ordered in j! ways
     Bt   associated Bell: subset_fn over the types of P(n, k) with r1 = 0,
          built as (0,) + r for r in P(n-k, k) (one element of each block
          set aside leaves a type of P(n-k, k)), weighed type by type
     A    the Laurent family S_{n,k} / X1^(2n-1), derived from S
 
-S, B and L share one descent, `_blocks`, that places labelled elements into
-blocks size by size and carries each coefficient down to its type; no type
-tuple or weight call is made.  Bt stays on partition_types and subset_fn, so
-that the identity checks pairing it with S or B compare two computations.
+S, B and L are one descent, `_blocks`, which S starts once per r1 and B and
+L once at block size 1.  It places labelled elements into blocks, one level
+per block size in use, and carries each coefficient down to its type; no
+type tuple or weight call is made.  Bt stays on partition_types and
+subset_fn, so that the identity checks pairing it with S or B compare two
+computations.
 
 `family` extends each kind by zero: 1 at (0,0) and 0 elsewhere outside
 1 <= k <= n (a LaurentX1 for A, an MPoly otherwise), uncached.  It takes
 only int indices (bool excluded), so (True, 1) never reads the (1, 1)
 entry.  Members inside the triangle are memoised under (kind, n, k) in an
-append-only MspCache; a cache of None means the process-wide _DEFAULT_CACHE.
+append-only MspCache; a cache of None means the process-wide _DEFAULT_CACHE,
+and a cache that is neither raises ValueError.
 
 The public generators check that n and k are ints in range (k >= 0 for
 B and Bt, where B_{0,0} = 1 and B_{n,0} = 0; k >= 1 otherwise), with the
@@ -78,7 +81,9 @@ def family(kind: str, n: int, k: int, cache: MspCache | None = None) -> CacheVal
     c = _DEFAULT_CACHE if cache is None else cache
     try:
         hit = c.get(kind, n, k)
-    except TypeError:  # an unhashable kind
+    except (TypeError, AttributeError):  # not an MspCache, or an unhashable kind
+        if not isinstance(c, MspCache):
+            raise _not_a_cache(cache) from None
         raise _unknown_family(kind) from None
     if hit is not None:
         return hit
@@ -87,14 +92,8 @@ def family(kind: str, n: int, k: int, cache: MspCache | None = None) -> CacheVal
     if kind == "S":
         return c.put(kind, n, k, _first_kind(n, k))
     if kind in ("B", "L"):
-        # every exponent r_j is at most the k blocks; this stands in for the
-        # constructor's field check, which the raw dict below skips
-        if k > _MAX_EXPONENT:
-            raise ValueError(f"exponent {k} of {kind}_{{{n},{k}}} exceeds {_MAX_EXPONENT}")
-        terms: dict[int, int] = {}
-        # n elements in k blocks, the largest of size n+1-k
-        _blocks(terms, n + 1 - k, kind == "L")(1, n, k, 0, 1)
-        return c.put(kind, n, k, _raw(terms))
+        # n elements in k blocks of sizes >= 1
+        return c.put(kind, n, k, _blocks(kind, n, k, [(1, n, k, 0, 1)]))
     if kind == "Bt":
         # no block of size 1: drop one element from each block, leaving P(n-k, k)
         types = [(0,) + r for r in partition_types(n - k, k)]
@@ -102,40 +101,57 @@ def family(kind: str, n: int, k: int, cache: MspCache | None = None) -> CacheVal
     raise _unknown_family(kind)
 
 
-def _blocks(terms: dict[int, int], top: int, ordered: bool = False):
-    """The descent behind S, B and L, as place(j, rest, left, key, count).
+def _blocks(kind: str, n: int, k: int, starts) -> MPoly:
+    """Member (n, k) of S, B or L from its starting points (j, rest, left, key, count).
 
-    place splits `rest` labelled elements into `left` blocks of sizes j..top,
-    choosing r_j, r_{j+1}, ... in turn as partition_types does.  For each type
-    r it writes terms[key + key of X^r] = count * the number of such
-    partitions of type r, with unordered blocks, or with each block of size
-    j linearly ordered in j! ways when `ordered` (the Lah weight).
+    From each start, `rest` labelled elements go into `left` blocks of sizes
+    j..n+1-k, and each type r adds count * (the number of such partitions of
+    type r) at key + the key of X^r; for L each block of size j is ordered in
+    j! ways.  The types come out in lex order, the order of terms().
     """
-    # units[j] is the key of X_j
-    units = [0, *map(_unit, range(1, top + 1))]
+    # every exponent is at most the number of blocks, n-1 for S and k for B
+    # and L; this stands in for the field check that the raw dict skips
+    blocks = n - 1 if kind == "S" else k
+    if blocks > _MAX_EXPONENT:
+        raise ValueError(f"exponent {blocks} of {kind}_{{{n},{k}}} exceeds {_MAX_EXPONENT}")
+    ordered = kind == "L"
     choose = perm if ordered else comb
+    # units[j] is the key of X_j
+    units = [0, *map(_unit, range(1, n + 2 - k))]
+    terms: dict[int, int] = {}
 
     def place(j: int, rest: int, left: int, key: int, count: int):
-        # `left` blocks of sizes >= j hold the `rest` elements still unplaced
-        unit = units[j]
-        if rest == j * left:
-            # every remaining block has size j (or none remains)
-            den = factorial(left) if ordered else factorial(left) * factorial(j) ** left
-            terms[key + left * unit] = count * (factorial(rest) // den)
-            return
-        # the left - r_j >= 2 blocks of size > j need
-        # rest - j*r_j >= (j+1)*(left - r_j), a lower bound on r_j
-        low = (j + 1) * left - rest
-        for rj in range(left - 1):
-            if rj >= low:
-                place(j + 1, rest - j * rj, left - rj, key + rj * unit, count)
-            # choose one more block of size j; count stays an integer
-            count = count * choose(rest - j * rj, j) // (rj + 1)
-        # one block is left: it holds the size > j elements not yet placed
-        size = rest - j * (left - 1)
-        terms[key + (left - 1) * unit + units[size]] = count * factorial(size) if ordered else count
+        # `left` >= 2 blocks of sizes >= j hold `rest` elements.  s, the
+        # smallest size in use, runs from the largest down: that keeps lex
+        # order and recurses once per size in use, not per size tried
+        s = rest // left
+        if rest == s * left:
+            # every block has size s
+            den = factorial(left) if ordered else factorial(left) * factorial(s) ** left
+            terms[key + left * units[s]] = count * (factorial(rest) // den)
+            if s == j:
+                return
+            s -= 1
+        for s in range(s, j - 1, -1):
+            unit = units[s]
+            # the left - r_s >= 2 blocks of size > s need
+            # rest - s*r_s >= (s+1)*(left - r_s), a lower bound on r_s
+            low = (s + 1) * left - rest
+            c = count * choose(rest, s)  # r_s = 1; c stays an integer
+            for rs in range(1, left - 1):
+                if rs >= low:
+                    place(s + 1, rest - s * rs, left - rs, key + rs * unit, c)
+                c = c * choose(rest - s * rs, s) // (rs + 1)
+            # r_s = left - 1: the last block holds the rest, of size > s
+            size = rest - s * (left - 1)
+            terms[key + (left - 1) * unit + units[size]] = c * factorial(size) if ordered else c
 
-    return place
+    for j, rest, left, key, count in starts:
+        if left > 1:
+            place(j, rest, left, key, count)
+        else:  # one block holds all `rest` elements, or none is left
+            terms[key + left * units[rest]] = count * factorial(rest) if ordered else count
+    return _raw(terms)
 
 
 def _first_kind(n: int, k: int) -> MPoly:
@@ -150,24 +166,22 @@ def _first_kind(n: int, k: int) -> MPoly:
     first; `_blocks` then places the blocks of size >= 2, carrying that count
     and the packed key of X^r down to each type.
     """
-    # every exponent r_j is at most the n-1 blocks; this stands in for the
-    # constructor's field check, which the raw dict below skips
-    if n - 1 > _MAX_EXPONENT:
-        raise ValueError(f"exponent {n - 1} of S_{{{n},{k}}} exceeds {_MAX_EXPONENT}")
-    terms: dict[int, int] = {}
-    # blocks of size >= 2, the largest of size n+1-k; j = 2 is met when k = n
-    place = _blocks(terms, max(n + 1 - k, 2))
     # r1 singletons leave 2n-1-k-r1 elements in n-1-r1 blocks of size >= 2,
     # so r1 >= k-1, and r1 = n-1 (no such block) only if no element is left
+    starts = []
     for r1 in range(k - 1, n if k == n else n - 1):
         lead = comb(2 * n - 2 - r1, k - 1)
-        place(2, 2 * n - 1 - k - r1, n - 1 - r1, r1 * _unit(1),
-              lead if (n - 1 - r1) % 2 == 0 else -lead)
-    return _raw(terms)
+        starts.append((2, 2 * n - 1 - k - r1, n - 1 - r1, r1 * _unit(1),
+                       lead if (n - 1 - r1) % 2 == 0 else -lead))
+    return _blocks("S", n, k, starts)
 
 
 def _unknown_family(kind: str) -> ValueError:
     return ValueError(f"unknown family kind {kind!r} (expected S, B, Bt, L or A)")
+
+
+def _not_a_cache(cache) -> ValueError:
+    return ValueError(f"cache must be an MspCache or None, got {cache!r}")
 
 
 def _recursive(kind: str, n: int, k: int, cache: MspCache | None, seed: MPoly, step):
@@ -178,6 +192,8 @@ def _recursive(kind: str, n: int, k: int, cache: MspCache | None, seed: MPoly, s
     reading members outside the triangle as zero.
     """
     c = _DEFAULT_CACHE if cache is None else cache
+    if not isinstance(c, MspCache):
+        raise _not_a_cache(cache)
     zero = MPoly.zero()
     for m in range(1, n + 1):
         for kk in range(1, m + 1):

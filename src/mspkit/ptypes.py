@@ -65,20 +65,29 @@ def partition_types(n: int, k: int) -> list[tuple[int, ...]]:
     zeros = (0,) * (n - k + 1)
 
     def descend(j: int, rest_n: int, rest_k: int):
-        # rest_k >= 2 parts of sizes >= j remain, so rest_n >= j * rest_k
-        if rest_n == j * rest_k:
-            # every remaining part has size j
-            buf[j - 1] = rest_k
-            emit(tuple(buf[:j]))
-            return
-        # the rest_k - r_j >= 2 parts of size > j need
-        # rest_n - j*r_j >= (j+1)*(rest_k - r_j), a lower bound on r_j
-        for rj in range(max(0, (j + 1) * rest_k - rest_n), rest_k - 1):
-            buf[j - 1] = rj
-            descend(j + 1, rest_n - j * rj, rest_k - rj)
-        # one part is left: it has size rest_n - j*(rest_k - 1) > j
-        buf[j - 1] = rest_k - 1
-        emit(tuple(buf[:j]) + zeros[: rest_n - j * rest_k - 1] + (1,))
+        # rest_k >= 2 parts of sizes >= j remain, and buf[j-1:] is all zeros.
+        # s, the smallest size in use, runs from the largest down, so the
+        # types come out sorted and the depth is the number of sizes in use
+        s = rest_n // rest_k
+        if rest_n == s * rest_k:
+            # every remaining part has size s
+            buf[s - 1] = rest_k
+            emit(tuple(buf[:s]))
+            buf[s - 1] = 0
+            if s == j:
+                return
+            s -= 1
+        for s in range(s, j - 1, -1):
+            # the rest_k - r_s >= 2 parts of size > s need
+            # rest_n - s*r_s >= (s+1)*(rest_k - r_s), a lower bound on r_s
+            low = (s + 1) * rest_k - rest_n
+            for rs in range(low if low > 1 else 1, rest_k - 1):
+                buf[s - 1] = rs
+                descend(s + 1, rest_n - s * rs, rest_k - rs)
+            # one part is left: it has size rest_n - s*(rest_k - 1) > s
+            buf[s - 1] = rest_k - 1
+            emit(tuple(buf[:s]) + zeros[: rest_n - s * rest_k - 1] + (1,))
+            buf[s - 1] = 0
 
     if k == 1:
         return [zeros[: n - 1] + (1,)]

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from math import factorial
+
 import pytest
 
-from mspkit import msp, ptypes, series, stirling
-from mspkit.poly import LaurentX1, MPoly, parse_poly
+from mspkit import msp, series, verify
+from mspkit.poly import LaurentX1, MPoly, _unpack, parse_poly
 from mspkit.ptypes import order_fn, partition_types, stirling_fn, subset_fn
 
 X1, X2 = MPoly.var(1), MPoly.var(2)
@@ -115,6 +117,28 @@ def test_second_kind_exponent_limit():
             msp.family(kind, 32768, 32768, msp.MspCache())
 
 
+def test_descent_depth_is_the_number_of_block_sizes_in_use():
+    # 2100 elements in 2 blocks: a descent that recursed once per block size
+    # tried, not once per size in use, would pass Python's recursion limit
+    bell = msp.bell_explicit(2100, 2, msp.MspCache())
+    assert len(bell) == 1050
+    assert bell.eval_rat([1] * 2099) == 2**2099 - 1
+    lah = msp.lah_poly(2100, 2, msp.MspCache())
+    assert len(lah) == 1050
+    assert lah.eval_rat([1] * 2099) == factorial(2100) * 2099 // 2
+
+
+def test_members_store_their_terms_in_the_order_terms_returns():
+    # every generator inserts its terms in lex order, the order of terms(),
+    # so a renderer may read them unsorted
+    for kind in ("S", "B", "Bt", "L"):
+        for n in range(1, 21):
+            cache = msp.MspCache()
+            for k in range(1, n + 1):
+                p = msp.family(kind, n, k, cache)
+                assert list(map(_unpack, p._terms)) == [e for e, _ in p.terms()], (kind, n, k)
+
+
 def test_stirling_first_explicit_values():
     assert str(msp.stirling_first_explicit(4, 1)) == "-15*X2^3 + 10*X1*X2*X3 - X1^2*X4"
     assert (
@@ -143,31 +167,17 @@ def test_first_kind_exponent_limit():
         msp.family("S", 32769, 32769, msp.MspCache())
 
 
-def forbid(m, names):
-    """Make each name fail when called, wherever msp, ptypes, stirling or series
-    holds it."""
-    for name in names:
-        def fail(*args, _name=name, **kwargs):
-            raise AssertionError(f"{_name} was called")
-
-        for module in (msp, ptypes, stirling, series):
-            if hasattr(module, name):
-                m.setattr(module, name, fail)
-
-
-def test_first_kind_paths_share_no_computation(monkeypatch):
+def test_first_kind_paths_share_no_computation(forbid):
     want = [msp.stirling_first_explicit(12, k, msp.MspCache()) for k in range(1, 13)]
     # the descent enumerates no type list, weighs no type and reads neither
     # the Schloemilch ladder nor the series recursion
-    with monkeypatch.context() as m:
-        forbid(m, ("stirling_fn", "partition_types", "schloemilch_ladder", "_lie_values"))
+    with forbid("stirling_fn", "partition_types", "schloemilch_ladder", "_lie_values"):
         assert [msp.stirling_first_explicit(12, k, msp.MspCache())
                 for k in range(1, 13)] == want
         with pytest.raises(AssertionError, match="was called"):
             msp.stirling_first_from_assoc(12, 3, msp.MspCache())
     # and the recursive and associated-Bell paths do not run the descent
-    with monkeypatch.context() as m:
-        forbid(m, ("_first_kind",))
+    with forbid("_first_kind"):
         assert [msp.stirling_first_recursive(12, k, msp.MspCache())
                 for k in range(1, 13)] == want
         assert [msp.stirling_first_from_assoc(12, k, msp.MspCache())
@@ -176,15 +186,14 @@ def test_first_kind_paths_share_no_computation(monkeypatch):
             msp.stirling_first_explicit(12, 3, msp.MspCache())
 
 
-def test_second_kind_paths_share_no_computation(monkeypatch):
+def test_second_kind_paths_share_no_computation(forbid):
     def row(build):
         return [build(12, k, msp.MspCache()) for k in range(1, 13)]
 
     bell, lah, assoc = row(msp.bell_explicit), row(msp.lah_poly), row(msp.assoc_bell)
     # the descent enumerates no type list and weighs no type, and eq6.8
     # rebuilds Bt from B alone
-    with monkeypatch.context() as m:
-        forbid(m, ("partition_types", "subset_fn", "order_fn"))
+    with forbid("partition_types", "subset_fn", "order_fn"):
         assert row(msp.bell_explicit) == bell
         assert row(msp.lah_poly) == lah
         assert row(msp.eq68_invert) == assoc
@@ -192,8 +201,7 @@ def test_second_kind_paths_share_no_computation(monkeypatch):
             msp.assoc_bell(12, 3, msp.MspCache())
     # crosspath-bell, cor4.5 and eq6.8 each read B on one side only: the
     # recursive path, Bt and the expansion from Bt do not run the descent
-    with monkeypatch.context() as m:
-        forbid(m, ("_blocks",))
+    with forbid("_blocks"):
         assert row(msp.bell_recursive) == bell
         assert row(msp.assoc_bell) == assoc
         assert row(msp.cor45_expand) == bell
@@ -202,8 +210,7 @@ def test_second_kind_paths_share_no_computation(monkeypatch):
                 build(12, 3, msp.MspCache())
     # thm6.1 weighs explicit S against the Bt ladder, so Bt must not reach
     # the first-kind descent either
-    with monkeypatch.context() as m:
-        forbid(m, ("_first_kind", "_blocks"))
+    with forbid("_first_kind", "_blocks"):
         assert row(msp.assoc_bell) == assoc
     # cor4.6 (L = B(j! X_j)) compares the two modes of `_blocks` on purpose:
     # subset_fn is order_fn over prod (j!)^r_j, so two per-type sums would
@@ -347,6 +354,23 @@ def test_family_rejects_unhashable_kind(kind):
         with pytest.raises(ValueError, match="unknown family kind"):
             msp.family(kind, n, k, cache)
     assert len(cache) == 0
+
+
+CACHE_USERS = {
+    "bell_explicit": lambda cache: msp.bell_explicit(3, 2, cache),
+    "bell_recursive": lambda cache: msp.bell_recursive(3, 2, cache),
+    "stirling_first_recursive": lambda cache: msp.stirling_first_recursive(3, 2, cache),
+    "convolution_recurrence": lambda cache: msp.convolution_recurrence(3, 2, "B", cache),
+    "revert_comtet": lambda cache: series.revert_comtet(series.Egf([1, 2, 3, 4]), cache),
+    "run_suite": lambda cache: verify.run_suite(4, cache=cache),
+}
+
+
+@pytest.mark.parametrize("cache", [{}, "x", 5], ids=repr)
+@pytest.mark.parametrize("entry", sorted(CACHE_USERS))
+def test_a_cache_that_is_not_an_mspcache_raises_value_error(entry, cache):
+    with pytest.raises(ValueError, match="cache must be an MspCache or None"):
+        CACHE_USERS[entry](cache)
 
 
 def test_registry_kinds():

@@ -114,6 +114,14 @@ def test_enumerate_order_is_lexicographic():
         assert rs == sorted(rs)
 
 
+def test_enumeration_depth_is_the_number_of_part_sizes_in_use():
+    # 2100 in 2 parts: an enumeration that recursed once per part size tried,
+    # not once per size in use, would pass Python's recursion limit
+    types = partition_types(2100, 2)
+    assert len(types) == 1050
+    assert types == sorted(types)
+
+
 def test_largest_part_bound():
     # the largest part size never exceeds n-k+1
     for n in range(1, 15):

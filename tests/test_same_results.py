@@ -4,7 +4,8 @@ A refactor must leave the `verify` report and the `msp gen` output unchanged
 byte for byte.  The sha256 digests below were recorded before `stirling` and
 `series` shared one triangle builder, one Prop 5.5 kernel and one term
 renderer; the n = 20 rows of B and L were recorded while those two kinds
-were still weighed type by type.  A change that alters any of these outputs
+were still weighed type by type, and those of S and A before S, B and L
+shared one entry into their descent.  A change that alters any of these outputs
 on purpose records new digests and says why in CHANGES.md.
 """
 
@@ -52,8 +53,14 @@ GEN_DIGESTS = {
 
 
 # `msp gen --kind K --n 20 --format F --force`: whole rows, large enough that
-# every block-size branch of the B and L builds runs
+# every block-size branch of the S, B and L builds runs
 GEN20_DIGESTS = {
+    ("S", "text"): "b611633451d22c7c803b8d815ac3a8d0793fa5fc70da4f367493dfc941b1ea0e",
+    ("S", "json"): "96c2703f8d98c95455be599fb3026ddc1f748f29888a14e4e869078167284f75",
+    ("S", "latex"): "d5b87b41a40a1ed7d027f96d9aab6e3a771c0cd37c6464ee1f4ba67238979e65",
+    ("A", "text"): "81cb4cfd0029b5323df17fbe49db05ee0c2151cf9979b9fdd9095847fd5ea7d8",
+    ("A", "json"): "97068acd894932e53cb2f8b69fa6240bbad268eaed4439dd114cb811a33dec32",
+    ("A", "latex"): "72a08b83eeb40c0aa237a66a5f7105c8acac42227aa1308e6baeb10d96e6e16a",
     ("B", "text"): "25cbe81b849501202a2be0bafb3eeb98e704d0ef38583e5b3543a36675b420ef",
     ("B", "json"): "ba4afb48f8c64d2ec14c3fb3dde62121924568ac43dfe4f39062a675733c55e9",
     ("B", "latex"): "46d92ccc4c9f525d8b9326cf2734611eb7ffa9527eab388713a1bb5fa4fbf972",
