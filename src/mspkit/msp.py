@@ -23,7 +23,7 @@ computations.
 only int indices (bool excluded), so (True, 1) never reads the (1, 1)
 entry.  Members inside the triangle are memoised under (kind, n, k) in an
 append-only MspCache; a cache of None means the process-wide _DEFAULT_CACHE,
-and a cache that is neither raises ValueError.
+and a cache that is neither raises ValueError, outside the triangle too.
 
 The public generators check that n and k are ints in range (k >= 0 for
 B and Bt, where B_{0,0} = 1 and B_{n,0} = 0; k >= 1 otherwise), with the
@@ -31,6 +31,12 @@ one range check of the stirling module, and call `family`.
 `generate` dispatches through the registry of public generators that KINDS
 lists; its sixth kind, Bn, is the complete Bell polynomial, summed from the
 cached B members and not cached itself.
+
+Every expansion that weighs family members by powers of X1 (Thm 6.1, both
+directions of Thm 6.4, Cor 4.5 and eq. 6.8) is one sum, `_x1_sum`, over
+triples (member, e, c) with e any int; it returns the sum over a common
+power of X1 and builds each X1^e factor as a raw key, after one check of
+the largest e.
 
 Both polynomial kinds also have an independent recursive path (differential
 recurrences), memoised under the cache kinds B_rec and S_rec; explicit and
@@ -76,6 +82,7 @@ def family(kind: str, n: int, k: int, cache: MspCache | None = None) -> CacheVal
     if not 1 <= k <= n:
         if kind not in ("S", "B", "Bt", "L", "A"):
             raise _unknown_family(kind)
+        _resolve(cache)
         value = MPoly.const(1) if n == k == 0 else MPoly.zero()
         return LaurentX1(value) if kind == "A" else value
     c = _DEFAULT_CACHE if cache is None else cache
@@ -184,6 +191,14 @@ def _not_a_cache(cache) -> ValueError:
     return ValueError(f"cache must be an MspCache or None, got {cache!r}")
 
 
+def _resolve(cache: MspCache | None) -> MspCache:
+    """`cache`, or _DEFAULT_CACHE for None; anything else raises ValueError."""
+    c = _DEFAULT_CACHE if cache is None else cache
+    if not isinstance(c, MspCache):
+        raise _not_a_cache(cache)
+    return c
+
+
 def _recursive(kind: str, n: int, k: int, cache: MspCache | None, seed: MPoly, step):
     """Fill the memo triangle `kind` through row n and return member (n, k).
 
@@ -191,9 +206,7 @@ def _recursive(kind: str, n: int, k: int, cache: MspCache | None, seed: MPoly, s
     step(m, P_{m-1,kk}, P_{m-1,kk-1}, sum_j X_{j+1} * dP_{m-1,kk}/dX_j),
     reading members outside the triangle as zero.
     """
-    c = _DEFAULT_CACHE if cache is None else cache
-    if not isinstance(c, MspCache):
-        raise _not_a_cache(cache)
+    c = _resolve(cache)
     zero = MPoly.zero()
     for m in range(1, n + 1):
         for kk in range(1, m + 1):
@@ -229,6 +242,7 @@ def bell_recursive(n: int, k: int, cache: MspCache | None = None) -> MPoly:
     """
     _check_triangle(n, k, 0)
     if k == 0:
+        _resolve(cache)
         return MPoly.const(1) if n == 0 else MPoly.zero()
     x1 = MPoly.var(1)
     return _recursive("B_rec", n, k, cache, x1, lambda m, prev, low, d: x1 * low + d)
@@ -286,10 +300,8 @@ def stirling_first_from_assoc(n: int, k: int, cache: MspCache | None = None) -> 
     sum_{r=k-1}^{n-1} (-1)^(n-1-r) C(2n-2-r, k-1) X1^r Bt_{2n-1-k-r, n-1-r}.
     """
     _check_triangle(n, k)
-    return MPoly.sum_products(
-        (family("Bt", 2 * n - 1 - k - r, n - 1 - r, cache), MPoly.monomial(1, (r,)), lead)
-        for r, lead, _ in schloemilch_ladder(n, k)
-    )
+    return _x1_sum((family("Bt", 2 * n - 1 - k - r, n - 1 - r, cache), r, lead)
+                   for r, lead, _ in schloemilch_ladder(n, k))[0]
 
 
 def lie_first(n: int, k: int, cache: MspCache | None = None) -> LaurentX1:
@@ -303,6 +315,21 @@ def lie_first(n: int, k: int, cache: MspCache | None = None) -> LaurentX1:
 # ---------------------------------------------------------------------------
 
 
+def _x1_sum(parts) -> tuple[MPoly, int]:
+    """The sum of c * X1^e * P over the triples (P, e, c) of `parts`, P an
+    MPoly or a LaurentX1 and e any int, as (num, den) with num / X1^den equal
+    to it; den is the largest power of 1/X1 in a single part, or 0."""
+    parts = [(p.num, e - p.x1_den, c) if isinstance(p, LaurentX1) else (p, e, c)
+             for p, e, c in parts]
+    exps = [e for _, e, _ in parts]
+    den = max(0, -min(exps))
+    # each X1^(e+den) is a raw key, which skips the field check
+    top = max(exps) + den
+    if top > _MAX_EXPONENT:
+        raise ValueError(f"exponent {top} of X1 exceeds {_MAX_EXPONENT}")
+    return MPoly.sum_products((p, _raw({(e + den) * _unit(1): 1}), c) for p, e, c in parts), den
+
+
 def first_from_second_schloemilch(
     n: int, k: int, cache: MspCache | None = None
 ) -> LaurentX1:
@@ -311,25 +338,17 @@ def first_from_second_schloemilch(
     sum_r (-1)^(n-1-r) C(2n-2-r,k-1) C(2n-k,r+1-k) X1^(r-2n+1) B_{2n-1-k-r,n-1-r}.
     """
     _check_triangle(n, k)
-    total = MPoly.sum_products(
-        (family("B", 2 * n - 1 - k - r, n - 1 - r, cache), MPoly.monomial(1, (r,)), lead * tail)
-        for r, lead, tail in schloemilch_ladder(n, k)
-    )
-    return LaurentX1(total, 2 * n - 1)
+    return LaurentX1(*_x1_sum((family("B", 2 * n - 1 - k - r, n - 1 - r, cache), r + 1 - 2 * n,
+                               lead * tail) for r, lead, tail in schloemilch_ladder(n, k)))
 
 
 def second_from_first(n: int, k: int, cache: MspCache | None = None) -> MPoly:
     """The reverse Schloemilch-type expansion, rebuilding B_{n,k} from the
     Laurent first-kind family; the X1 denominators must cancel exactly."""
     _check_triangle(n, k)
-    # part r is lead * tail * X1^(2n-1-r) * A_{2n-1-k-r, n-1-r}; over the
-    # common denominator X1^off its numerator is shifted by X1^(2n-1-r-den+off)
-    parts = [(family("A", 2 * n - 1 - k - r, n - 1 - r, cache), 2 * n - 1 - r, lead * tail)
-             for r, lead, tail in schloemilch_ladder(n, k)]
-    off = max(0, *(part.x1_den - m for part, m, _ in parts))
-    total = MPoly.sum_products((part.num, MPoly.monomial(1, (m - part.x1_den + off,)), c)
-                               for part, m, c in parts)
-    return total.shift_x1(-off)
+    num, den = _x1_sum((family("A", 2 * n - 1 - k - r, n - 1 - r, cache), 2 * n - 1 - r,
+                        lead * tail) for r, lead, tail in schloemilch_ladder(n, k))
+    return num.shift_x1(-den)
 
 
 def compose_transform(n: int, k: int, cache: MspCache | None = None) -> MPoly:
@@ -381,26 +400,19 @@ def convolution_recurrence(
     raise ValueError(f"unknown convolution kind {kind!r} (expected B, S or Bt)")
 
 
-def _binomial_x1_sum(kind: str, sign: int, n: int, k: int, cache: MspCache | None) -> MPoly:
-    """sum_{r=0}^{k} sign^r C(n,r) X1^r P_{n-r,k-r} over the family `kind`."""
-    return MPoly.sum_products(
-        (family(kind, n - r, k - r, cache), MPoly.monomial(1, (r,)), sign**r * comb(n, r))
-        for r in range(k + 1)
-    )
-
-
 def cor45_expand(n: int, k: int, cache: MspCache | None = None) -> MPoly:
     """Rebuild B_{n,k} from the associated family:
     sum_{r=0}^{k} C(n,r) X1^r Bt_{n-r,k-r}."""
     _check_triangle(n, k)
-    return _binomial_x1_sum("Bt", 1, n, k, cache)
+    return _x1_sum((family("Bt", n - r, k - r, cache), r, comb(n, r)) for r in range(k + 1))[0]
 
 
 def eq68_invert(n: int, k: int, cache: MspCache | None = None) -> MPoly:
     """Rebuild Bt_{n,k} from the plain Bell family by binomial inversion:
     sum_{r=0}^{k} (-1)^r C(n,r) X1^r B_{n-r,k-r}."""
     _check_triangle(n, k)
-    return _binomial_x1_sum("B", -1, n, k, cache)
+    return _x1_sum((family("B", n - r, k - r, cache), r, (-1) ** r * comb(n, r))
+                   for r in range(k + 1))[0]
 
 
 def snk1_nested(n: int, cache: MspCache | None = None) -> MPoly:

@@ -176,9 +176,6 @@ class MPoly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def terms(self) -> list[tuple[Exponents, int]]:
         """Terms in graded-lex order."""
         terms = self._terms

@@ -13,7 +13,10 @@ a predicate yields (where, ok, True).  The driver, `run_suite`, stops at
 the first comparison with got != want and reports it as
 "where: got != want".  Each side is computed as the check runs, through
 the msp, stirling and series modules, so wrappers installed on those
-modules (a tracer) see every call.
+modules (a tracer) see every call.  The six two-sided cell checks, which
+compare two msp functions at every cell, are each registered by `_pairs`
+as triples (label, got, want) of function names, looked up on msp at run
+time.
 """
 
 from __future__ import annotations
@@ -124,6 +127,22 @@ def _cells(depth: int) -> Iterator[tuple[int, int]]:
     return ((n, k) for n in range(1, depth + 1) for k in range(1, n + 1))
 
 
+def _pairs(check_id: str, cap: int, *sides: tuple[str, str, str]) -> None:
+    """Register a check that compares, at each cell and for each side
+    (label, got, want), msp.got(n, k, cache) with msp.want(n, k, cache).
+
+    The names are looked up on msp as the check runs, so a wrapper installed
+    there (a tracer, a test's patch) is what gets compared.
+    """
+
+    @_check(check_id, cap)
+    def compare(depth, rng, cache):
+        for n, k in _cells(depth):
+            for label, got, want in sides:
+                yield (f"{label} at ({n},{k})", getattr(msp, got)(n, k, cache),
+                       getattr(msp, want)(n, k, cache))
+
+
 # ---------------------------------------------------------------------------
 # polynomial-level checks
 # ---------------------------------------------------------------------------
@@ -151,25 +170,9 @@ def _inversion_law(depth, rng, cache):
         yield f"sum_j B[{n},j]A[j,{k}]", rhs, want
 
 
-@_check("crosspath-bell", 12)
-def _crosspath_bell(depth, rng, cache):
-    for n, k in _cells(depth):
-        yield (f"B at ({n},{k})", msp.bell_explicit(n, k, cache),
-               msp.bell_recursive(n, k, cache))
-
-
-@_check("crosspath-stirling", 12)
-def _crosspath_stirling(depth, rng, cache):
-    for n, k in _cells(depth):
-        yield (f"S at ({n},{k})", msp.stirling_first_explicit(n, k, cache),
-               msp.stirling_first_recursive(n, k, cache))
-
-
-@_check("thm6.1-assoc-expansion", 12)
-def _thm61(depth, rng, cache):
-    for n, k in _cells(depth):
-        yield (f"S at ({n},{k})", msp.stirling_first_explicit(n, k, cache),
-               msp.stirling_first_from_assoc(n, k, cache))
+_pairs("crosspath-bell", 12, ("B", "bell_explicit", "bell_recursive"))
+_pairs("crosspath-stirling", 12, ("S", "stirling_first_explicit", "stirling_first_recursive"))
+_pairs("thm6.1-assoc-expansion", 12, ("S", "stirling_first_explicit", "stirling_first_from_assoc"))
 
 
 @_check("cor5.4-compose", 9)
@@ -204,17 +207,8 @@ def _derivative_law(depth, rng, cache):
             yield where, b.partial_derivative(j), want
 
 
-@_check("cor4.5-expansion", 12)
-def _cor45(depth, rng, cache):
-    for n, k in _cells(depth):
-        yield (f"B at ({n},{k})", msp.cor45_expand(n, k, cache),
-               msp.bell_explicit(n, k, cache))
-
-
-@_check("eq6.8-inversion", 12)
-def _eq68(depth, rng, cache):
-    for n, k in _cells(depth):
-        yield f"Bt at ({n},{k})", msp.eq68_invert(n, k, cache), msp.assoc_bell(n, k, cache)
+_pairs("cor4.5-expansion", 12, ("B", "cor45_expand", "bell_explicit"))
+_pairs("eq6.8-inversion", 12, ("Bt", "eq68_invert", "assoc_bell"))
 
 
 @_check("eq6.1-nested", 8, "2<=n<={d}")
@@ -224,13 +218,8 @@ def _eq61(depth, rng, cache):
                msp.stirling_first_explicit(n, 1, cache))
 
 
-@_check("thm6.4-schloemilch-poly", 9)
-def _thm64(depth, rng, cache):
-    for n, k in _cells(depth):
-        yield (f"(i) at ({n},{k})", msp.first_from_second_schloemilch(n, k, cache),
-               msp.lie_first(n, k, cache))
-        yield (f"(ii) at ({n},{k})", msp.second_from_first(n, k, cache),
-               msp.bell_explicit(n, k, cache))
+_pairs("thm6.4-schloemilch-poly", 9, ("(i)", "first_from_second_schloemilch", "lie_first"),
+       ("(ii)", "second_from_first", "bell_explicit"))
 
 
 @_check("cor6.3-type-identity", 12, "1<=k<=n<={d}, all types")

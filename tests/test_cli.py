@@ -152,6 +152,14 @@ def test_series_revert_rejects_zero_f1(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("coeffs", ["1,x", "1/0", "1,0.5.5"])
+def test_bad_coefficient_list_is_a_usage_error(capsys, coeffs):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["series", "revert", "--coeffs", coeffs, "--order", "2"])
+    assert exc.value.code == 2
+    assert f"bad coefficient list {coeffs!r}" in capsys.readouterr().err
+
+
 def test_series_compose(capsys):
     code, out, _ = run_cli(
         capsys,

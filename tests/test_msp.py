@@ -33,6 +33,11 @@ def test_bell_recursive_matches_explicit():
     assert str(msp.bell_recursive(4, 3)) == "6*X1^2*X2"
     assert msp.bell_recursive(1, 1) == X1
     assert msp.bell_recursive(12, 5) == msp.bell_explicit(12, 5)
+    # column 0, B_{0,0} = 1 and B_{n,0} = 0, stores nothing
+    cache = msp.MspCache()
+    assert msp.bell_recursive(0, 0, cache) == 1
+    assert msp.bell_recursive(4, 0, cache).is_zero
+    assert len(cache) == 0
 
 
 def test_complete_bell():
@@ -56,6 +61,15 @@ def test_assoc_bell():
         for i in range(1, 2 * n, 2):
             ff *= i
         assert msp.assoc_bell(2 * n, n) == MPoly.monomial(ff, (0, n))
+
+
+def test_assoc_bell_weighs_long_types_by_the_sizes_in_use():
+    # the 1049 types (0, 0, ..., 1, ..., 1) of length up to 2098 each have two
+    # sizes in use; the member counts the splits of 2100 elements into two
+    # blocks of size >= 2
+    p = msp.assoc_bell(2100, 2, msp.MspCache())
+    assert len(p) == 1049
+    assert sum(c for _, c in p.terms()) == 2**2099 - 2101
 
 
 def test_assoc_is_bell_at_x1_zero():
@@ -184,6 +198,18 @@ def test_first_kind_paths_share_no_computation(forbid):
                 for k in range(1, 13)] == want
         with pytest.raises(AssertionError, match="_first_kind was called"):
             msp.stirling_first_explicit(12, 3, msp.MspCache())
+    # the explicit and recursive paths sum no X1-weighted expansion, which
+    # thm6.1 and thm6.4 (i) read on their other side
+    with forbid("_x1_sum"):
+        assert [msp.stirling_first_explicit(12, k, msp.MspCache())
+                for k in range(1, 13)] == want
+        assert [msp.stirling_first_recursive(12, k, msp.MspCache())
+                for k in range(1, 13)] == want
+        assert [msp.lie_first(12, k, msp.MspCache())
+                for k in range(1, 13)] == [LaurentX1(s, 23) for s in want]
+        for build in (msp.stirling_first_from_assoc, msp.first_from_second_schloemilch):
+            with pytest.raises(AssertionError, match="_x1_sum was called"):
+                build(12, 3, msp.MspCache())
 
 
 def test_second_kind_paths_share_no_computation(forbid):
@@ -212,6 +238,16 @@ def test_second_kind_paths_share_no_computation(forbid):
     # the first-kind descent either
     with forbid("_first_kind", "_blocks"):
         assert row(msp.assoc_bell) == assoc
+    # nor do B, Bt, L and the recursive path sum an X1-weighted expansion,
+    # which cor4.5, eq6.8 and thm6.4 (ii) read on their other side
+    with forbid("_x1_sum"):
+        assert row(msp.bell_explicit) == bell
+        assert row(msp.assoc_bell) == assoc
+        assert row(msp.lah_poly) == lah
+        assert row(msp.bell_recursive) == bell
+        for build in (msp.cor45_expand, msp.eq68_invert, msp.second_from_first):
+            with pytest.raises(AssertionError, match="_x1_sum was called"):
+                build(12, 3, msp.MspCache())
     # cor4.6 (L = B(j! X_j)) compares the two modes of `_blocks` on purpose:
     # subset_fn is order_fn over prod (j!)^r_j, so two per-type sums would
     # share their computation as well;
@@ -323,6 +359,17 @@ def test_stirling_first_from_assoc():
             )
 
 
+def test_x1_sum_takes_any_exponent_and_guards_the_x1_field():
+    # 3 * X1 * (X2 / X1^2) + X1^-3 * X1 = (3*X1^2*X2 + X1) / X1^3
+    parts = [(LaurentX1(X2, 2), 1, 3), (X1, -3, 1)]
+    assert msp._x1_sum(parts) == (parse_poly("X1 + 3*X1^2*X2"), 3)
+    assert msp._x1_sum([(MPoly.const(1), 32767, 1)]) == (MPoly.monomial(1, (32767,)), 0)
+    # a larger X1 factor would carry into the X2 field; the check is no assert
+    for parts in ([(MPoly.const(1), 32768, 1)], [(X1, -1, 1), (MPoly.const(1), 32767, 1)]):
+        with pytest.raises(ValueError, match="exponent 32768 of X1 exceeds 32767"):
+            msp._x1_sum(parts)
+
+
 def test_inversion_law_small():
     for n in range(1, 8):
         for k in range(1, n + 1):
@@ -361,6 +408,14 @@ CACHE_USERS = {
     "bell_recursive": lambda cache: msp.bell_recursive(3, 2, cache),
     "stirling_first_recursive": lambda cache: msp.stirling_first_recursive(3, 2, cache),
     "convolution_recurrence": lambda cache: msp.convolution_recurrence(3, 2, "B", cache),
+    # outside the triangle, where no cached member is read
+    "bell_explicit(3,0)": lambda cache: msp.bell_explicit(3, 0, cache),
+    "bell_explicit(0,0)": lambda cache: msp.bell_explicit(0, 0, cache),
+    "bell_recursive(3,0)": lambda cache: msp.bell_recursive(3, 0, cache),
+    "bell_recursive(0,0)": lambda cache: msp.bell_recursive(0, 0, cache),
+    "assoc_bell(3,0)": lambda cache: msp.assoc_bell(3, 0, cache),
+    "family(S,2,3)": lambda cache: msp.family("S", 2, 3, cache),
+    "convolution_recurrence(1,1)": lambda cache: msp.convolution_recurrence(1, 1, "B", cache),
     "revert_comtet": lambda cache: series.revert_comtet(series.Egf([1, 2, 3, 4]), cache),
     "run_suite": lambda cache: verify.run_suite(4, cache=cache),
 }

@@ -178,6 +178,8 @@ def test_laurent_to_latex():
 def test_laurent_eval():
     v = LaurentX1(-X2, 3)  # -X2/X1^3
     assert v.eval_rat([Fraction(1, 2), 3]) == -24
+    # with no denominator, X1 = 0 is no pole
+    assert LaurentX1(X2 - X1).eval_rat([0, Fraction(3, 2)]) == Fraction(3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +455,9 @@ def test_terms_must_be_a_mapping(terms):
 def test_no_terms_is_the_zero_polynomial():
     assert MPoly() == MPoly(None) == MPoly({}) == MPoly.zero()
     assert len(MPoly({})) == 0
+    # truth is having a term
+    assert bool(MPoly.zero()) is False
+    assert bool(MPoly.const(-4)) is bool(X1 * X2) is True
 
 
 @pytest.mark.parametrize(
@@ -470,6 +475,8 @@ def test_values_copy_pickle_and_refuse_deletion(value):
     for name in value.__slots__:
         with pytest.raises(AttributeError, match="is immutable"):
             delattr(value, name)
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(value, name, None)
 
 
 @pytest.mark.parametrize("args", [(3,), (None,), ("X1",), (X1, [1]), (X1, 1), (X1, "yes")],
@@ -827,6 +834,12 @@ def test_eval_rat_rejects_inexact_points_and_poles(value, point):
 def test_eval_rat_point_must_be_a_list_or_tuple(value, point):
     with pytest.raises(ValueError, match="is not a list or tuple"):
         value.eval_rat(point)
+
+
+@pytest.mark.parametrize("value", [X1 * X3, LaurentX1(X3, 2)])
+def test_eval_rat_point_must_cover_every_indeterminate(value):
+    with pytest.raises(ValueError, match="point covers X1..X2 but X3 occurs"):
+        value.eval_rat([1, 2])
 
 
 @pytest.mark.parametrize(

@@ -99,7 +99,15 @@ def test_empty_selection_rejected():
 @pytest.mark.parametrize(
     "check_id, name, want",
     [
+        ("crosspath-bell", "bell_recursive", "B at (3,2): 3*X1*X2 != 1 + 3*X1*X2"),
+        ("crosspath-stirling", "stirling_first_recursive",
+         "S at (3,2): -3*X1*X2 != 1 - 3*X1*X2"),
+        ("thm6.1-assoc-expansion", "stirling_first_from_assoc",
+         "S at (3,2): -3*X1*X2 != 1 - 3*X1*X2"),
         ("cor4.5-expansion", "cor45_expand", "B at (3,2): 1 + 3*X1*X2 != 3*X1*X2"),
+        ("eq6.8-inversion", "eq68_invert", "Bt at (3,2): 1 != 0"),
+        ("thm6.4-schloemilch-poly", "first_from_second_schloemilch",
+         "(i) at (3,2): (-3*X2 + X1^4)/X1^4 != -3*X2/X1^4"),
         ("thm6.4-schloemilch-poly", "second_from_first", "(ii) at (3,2): 1 + 3*X1*X2 != 3*X1*X2"),
     ],
 )
@@ -116,6 +124,8 @@ def test_triangle_driver_names_identity_cell_and_values(monkeypatch, check_id, n
     result = verify.run_suite(5, selection=[check_id])[0]
     assert not result.passed
     assert result.counterexample == want
+    assert verify.report_text([result]) == (
+        f"FAIL  {check_id}  [1<=k<=n<=5]  -- {want}\n1 checks, 1 failure(s)")
 
 
 @pytest.mark.parametrize("max_n", [True, 2.5, "4"])
