@@ -37,20 +37,9 @@ from .ptypes import format_type, partition_types
 DEFAULT_GEN_DEPTH = 12
 
 
-def _max_n_cap(parser: argparse.ArgumentParser) -> int:
-    raw = os.environ.get("MSPKIT_MAX_N", "30")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        parser.error(f"MSPKIT_MAX_N must be a nonnegative integer, got {raw!r}")
-    return cap
-
-
 def _parse_coeffs(text: str) -> tuple[Fraction, ...]:
     try:
-        return tuple(Fraction(chunk.strip()) for chunk in text.split(",") if chunk.strip())
+        return tuple(map(Fraction, text.split(",")))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad coefficient list {text!r}: {exc}")
 
@@ -159,7 +148,13 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
 
 def _check_cap(parser: argparse.ArgumentParser, value: int, name: str, low: int = 0):
-    cap = _max_n_cap(parser)
+    raw = os.environ.get("MSPKIT_MAX_N", "30")
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        parser.error(f"MSPKIT_MAX_N must be a nonnegative integer, got {raw!r}")
     if value > cap:
         parser.error(f"{name}={value} exceeds the MSPKIT_MAX_N cap ({cap})")
     if value < low:
@@ -185,46 +180,35 @@ def _cmd_msp_gen(parser, args) -> int:
             f"n={args.n} exceeds the default depth limit"
             f" ({DEFAULT_GEN_DEPTH}); pass --force to generate anyway"
         )
-    # Bn has no k: it prints like a single member, with the index n alone
-    if args.kind == "Bn":
-        if args.k is not None:
-            parser.error("--k does not apply to --kind Bn")
-        ks = [None]
-    elif args.k is not None:
-        if not 1 <= args.k <= args.n:
-            parser.error(f"k={args.k} outside 1..n={args.n}")
-        ks = [args.k]
-    else:
-        ks = list(range(1, args.n + 1))
+    if args.kind == "Bn" and args.k is not None:
+        parser.error("--k does not apply to --kind Bn")
+    if args.k is not None and not 1 <= args.k <= args.n:
+        parser.error(f"k={args.k} outside 1..n={args.n}")
+    # one member, or the row k = 1..n.  Bn has no k: it prints like a single
+    # member, with the index n alone
     single = args.k is not None or args.kind == "Bn"
-    items = []
-    for k in ks:
-        try:
-            items.append((k, msp.generate(args.kind, args.n, k)))
-        except ValueError as exc:
-            parser.error(str(exc))
+    try:
+        items = [(k, msp.generate(args.kind, args.n, k))
+                 for k in ([args.k] if single else range(1, args.n + 1))]
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.format == "json":
-        if single:
-            print(json.dumps(items[0][1].to_json_dict(), separators=(",", ":")))
-        else:
-            payload = {
-                "kind": args.kind,
-                "n": args.n,
-                "items": [
-                    {"k": k, "poly": value.to_json_dict()} for k, value in items
-                ],
-            }
-            print(json.dumps(payload, separators=(",", ":")))
+        payload = items[0][1].to_json_dict() if single else {
+            "kind": args.kind,
+            "n": args.n,
+            "items": [{"k": k, "poly": value.to_json_dict()} for k, value in items],
+        }
+        text = json.dumps(payload, separators=(",", ":"))
     elif args.format == "latex":
-        for k, value in items:
-            index = args.n if k is None else f"{args.n},{k}"
-            print(f"${args.kind}_{{{index}}}={value.to_latex()}$")
+        text = "\n".join(
+            f"${args.kind}_{{{args.n}{'' if k is None else f',{k}'}}}={value.to_latex()}$"
+            for k, value in items
+        )
     else:
-        if single:
-            print(str(items[0][1]))
-        else:
-            for k, value in items:
-                print(f"{args.kind}[{args.n},{k}] = {value}")
+        text = str(items[0][1]) if single else "\n".join(
+            f"{args.kind}[{args.n},{k}] = {value}" for k, value in items
+        )
+    print(text)
     return 0
 
 

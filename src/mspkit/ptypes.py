@@ -10,8 +10,10 @@ r_j counting the blocks of size j.  The same tuple is the exponent of the
 monomial X1^r1 X2^r2 ... that the type weighs in B_{n,k} and S_{n,k}.
 partition_types builds every vector trimmed; trailing zeros change no
 weight.  format_type writes a type as "1,0,2" ("0" when empty).  Four
-integer-valued weights on these vectors drive everything else in the
-library:
+integer-valued weights on these vectors serve the per-type paths: msp
+builds Bt from subset_fn, and verify, stirling.s2_via_cycle and the test
+oracles read them (S, B and L carry their counts down msp._blocks
+instead):
 
     order_fn     n! / (r1! r2! ...)                        linearly ordered blocks
     cycle_fn     n! / (r1! r2! ... 1^r1 2^r2 ...)          cyclically ordered blocks

@@ -468,15 +468,17 @@ def _prop73(depth, rng, cache):
 
 def run_suite(
     max_n: int,
-    selection: list[str] | None = None,
+    selection: list[str] | tuple[str, ...] | None = None,
     seed: int = 0,
     cache: msp.MspCache | None = None,
 ) -> list[CheckResult]:
-    """Run the selected checks (all by default) scaled to depth max_n."""
+    """Run the selected checks (all by default) scaled to depth max_n.  A
+    selection is a list or tuple of check ids; anything else raises
+    ValueError."""
     stirling._check_int(max_n, "max_n", 1)
     known = check_ids()
     if selection is not None:
-        if isinstance(selection, str):
+        if not isinstance(selection, (list, tuple)):
             raise ValueError(f"selection must be a list of check ids, not {selection!r}")
         if not selection:
             raise ValueError(f"empty check selection; valid ids: {', '.join(known)}")

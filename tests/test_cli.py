@@ -152,7 +152,8 @@ def test_series_revert_rejects_zero_f1(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("coeffs", ["1,x", "1/0", "1,0.5.5"])
+# every comma-separated field is a coefficient, so an empty field is an error
+@pytest.mark.parametrize("coeffs", ["1,x", "1/0", "1,0.5.5", "1,,3", "1,2,", ",1", ""])
 def test_bad_coefficient_list_is_a_usage_error(capsys, coeffs):
     with pytest.raises(SystemExit) as exc:
         cli.main(["series", "revert", "--coeffs", coeffs, "--order", "2"])
@@ -294,6 +295,34 @@ def test_gen_complete_bell_rejects_k(capsys):
         cli.main(["msp", "gen", "--kind", "Bn", "--n", "3", "--k", "1"])
     assert exc.value.code == 2
     assert "--k does not apply to --kind Bn" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--kind", "B", "--n", "4", "--k", "5"], "k=5 outside 1..n=4"),
+        # Bn refuses any --k before the range of k is looked at
+        (["--kind", "Bn", "--n", "4", "--k", "9"], "--k does not apply to --kind Bn"),
+    ],
+)
+def test_gen_rejects_k(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["msp", "gen", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_gen_member_that_raises_is_a_usage_error(capsys, monkeypatch):
+    # B_{n,n} = X1^n, whose X1 field does not fit 15 bits at n = 32768
+    monkeypatch.setenv("MSPKIT_MAX_N", "40000")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["msp", "gen", "--kind", "B", "--n", "32768", "--k", "32768", "--force"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exponent 32768 of B_{32768,32768} exceeds 32767" in captured.err
 
 
 def test_series_revert_zero_f1_message(capsys):

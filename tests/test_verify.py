@@ -139,6 +139,16 @@ def test_selection_must_not_be_a_string():
         verify.run_suite(4, selection="table1-golden")
 
 
+@pytest.mark.parametrize(
+    "selection",
+    [2.0, True, -1, object(), (cid for cid in ["table1-golden"])],
+    ids=["float", "bool", "int", "object", "generator"],
+)
+def test_selection_must_be_a_list_or_tuple(selection):
+    with pytest.raises(ValueError, match="list of check ids"):
+        verify.run_suite(4, selection=selection)
+
+
 def _bump_last(g):
     return series.EgfCoeffs(g.coeffs[:-1] + (g.coeffs[-1] + 1,))
 
