@@ -44,6 +44,14 @@ def _parse_coeffs(text: str) -> tuple[Fraction, ...]:
         raise argparse.ArgumentTypeError(f"bad coefficient list {text!r}: {exc}")
 
 
+def _parse_check_ids(text: str) -> list[str]:
+    ids = [chunk.strip() for chunk in text.split(",")]
+    if "" in ids:
+        raise argparse.ArgumentTypeError(
+            f"bad check list {text!r}: a blank field is an empty check selection")
+    return ids
+
+
 def _msp_gen_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", required=True, choices=msp.KINDS)
     p.add_argument("--n", type=int, required=True)
@@ -92,7 +100,8 @@ def _ptypes_list_arguments(p: argparse.ArgumentParser) -> None:
 
 def _verify_run_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--only", default=None, help="comma-separated check ids")
+    p.add_argument("--only", type=_parse_check_ids, default=None,
+                   help="comma-separated check ids")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(run=_cmd_verify_run)
@@ -287,11 +296,8 @@ def _cmd_ptypes_list(parser, args) -> int:
 
 def _cmd_verify_run(parser, args) -> int:
     _check_cap(parser, args.max_n, "max-n", low=1)
-    selection = None
-    if args.only is not None:
-        selection = [chunk.strip() for chunk in args.only.split(",") if chunk.strip()]
     try:
-        results = verify.run_suite(args.max_n, selection=selection, seed=args.seed)
+        results = verify.run_suite(args.max_n, selection=args.only, seed=args.seed)
     except ValueError as exc:
         parser.error(str(exc))
     if args.format == "json":

@@ -14,7 +14,9 @@ cached by the single core `family(kind, n, k, cache)`:
 S, B and L are one descent, `_blocks`, which S starts once per r1 and B and
 L once at block size 1.  It places labelled elements into blocks, one level
 per block size in use, and carries each coefficient down to its type; no
-type tuple or weight call is made.  Bt stays on partition_types and
+type tuple or weight call is made.  Its dict comes out in graded-lex order,
+and `_blocks` hands it over as ordered, so rendering S, A, B and L skips the
+sort (see the poly module).  Bt stays on partition_types and
 subset_fn, so that the identity checks pairing it with S or B compare two
 computations.
 
@@ -48,7 +50,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb, factorial, perm
 
-from .poly import _MAX_EXPONENT, LaurentX1, MPoly, _raw, _unit
+from .poly import _MAX_EXPONENT, LaurentX1, MPoly, _raw, _raw_ordered, _unit
 from .ptypes import partition_types, subset_fn
 from .stirling import _check_int, _check_triangle, schloemilch_ladder
 
@@ -114,7 +116,9 @@ def _blocks(kind: str, n: int, k: int, starts) -> MPoly:
     From each start, `rest` labelled elements go into `left` blocks of sizes
     j..n+1-k, and each type r adds count * (the number of such partitions of
     type r) at key + the key of X^r; for L each block of size j is ordered in
-    j! ways.  The types come out in lex order, the order of terms().
+    j! ways.  The types come out in lex order, and every type has the same
+    number of blocks, so the dict is in graded-lex order, the order of
+    terms(), and is handed over as ordered.
     """
     # every exponent is at most the number of blocks, n-1 for S and k for B
     # and L; this stands in for the field check that the raw dict skips
@@ -158,7 +162,7 @@ def _blocks(kind: str, n: int, k: int, starts) -> MPoly:
             place(j, rest, left, key, count)
         else:  # one block holds all `rest` elements, or none is left
             terms[key + left * units[rest]] = count * factorial(rest) if ordered else count
-    return _raw(terms)
+    return _raw_ordered(terms)
 
 
 def _first_kind(n: int, k: int) -> MPoly:

@@ -14,6 +14,15 @@ tuples trimmed of trailing zeros, and term iteration and serialization use
 graded lexicographic order (total degree first, then the exponent tuple),
 which makes every textual/JSON output deterministic.
 
+`terms()`, `format_poly` and `to_json_dict` sort the terms into that order,
+except for a value whose dict was handed over already in it through
+`_raw_ordered`: the S, B and L members that the descent in the msp module
+builds, and their X1 shifts, which include the numerators of the Laurent
+family A.  Those are read in insertion order, which is the order the sort
+would give, so the output is the same.  Every other value sorts: results
+of arithmetic, substitution and differentiation, the constructor's, and
+copies and unpickled values.
+
 The library's identities are sums of products of such polynomials.
 `MPoly.sum_products` forms one, the sum of c*a*b over triples (a, b, c),
 in a single dict, as in Monagan & Pearce (CASC 2007): each term pair adds
@@ -96,7 +105,9 @@ def _check_exponents(terms: Iterable[Exponents]) -> None:
 class MPoly:
     """Immutable sparse polynomial in X1..Xm over the integers."""
 
-    __slots__ = ("_terms",)
+    # _ordered is True when the dict's insertion order is graded-lex order;
+    # it is set only by _raw_ordered and unset on every other value
+    __slots__ = ("_terms", "_ordered")
 
     def __init__(self, terms: Mapping[Exponents, int] | None = None):
         store: dict[int, int] = {}
@@ -178,8 +189,16 @@ class MPoly:
 
     def terms(self) -> list[tuple[Exponents, int]]:
         """Terms in graded-lex order."""
+        return list(self._in_order())
+
+    def _in_order(self) -> Iterable[tuple[Exponents, int]]:
+        """The pairs of terms(), to be read once: the dict as it stands when
+        it is already in graded-lex order, else sorted."""
         terms = self._terms
-        exps = list(map(_unpack, terms))
+        exps = map(_unpack, terms)
+        if getattr(self, "_ordered", False):
+            return zip(exps, terms.values())
+        exps = list(exps)
         return [(e, c) for _, e, c in sorted(zip(map(sum, exps), exps, terms.values()))]
 
     def width(self) -> int:
@@ -384,7 +403,9 @@ class MPoly:
             raise ValueError("not divisible by X1^%d" % -m)
         if m > 0 and max(map(_FIELD.__and__, terms)) > _MAX_EXPONENT - m:
             raise ValueError(f"exponent of X1 exceeds {_MAX_EXPONENT}")
-        return _raw({key + m: c for key, c in terms.items()})
+        shifted = {key + m: c for key, c in terms.items()}
+        # m more in every X1 field, and so in every degree, keeps graded-lex order
+        return _raw_ordered(shifted) if getattr(self, "_ordered", False) else _raw(shifted)
 
     # -- rendering and serialization ---------------------------------------
 
@@ -398,13 +419,21 @@ class MPoly:
         return format_poly(self, latex=True)
 
     def to_json_dict(self) -> dict:
-        return {"terms": [{"coeff": str(c), "exponents": list(e)} for e, c in self.terms()]}
+        return {"terms": [{"coeff": str(c), "exponents": list(e)} for e, c in self._in_order()]}
 
 
 def _raw(store: dict[int, int]) -> MPoly:
     """Wrap an already-canonical term dict without re-checking."""
     p = MPoly.__new__(MPoly)
     object.__setattr__(p, "_terms", store)
+    return p
+
+
+def _raw_ordered(store: dict[int, int]) -> MPoly:
+    """Wrap an already-canonical term dict whose keys were inserted in
+    graded-lex order, so that its terms are read without a sort."""
+    p = _raw(store)
+    object.__setattr__(p, "_ordered", True)
     return p
 
 
@@ -436,7 +465,7 @@ def format_poly(p: MPoly, latex: bool = False) -> str:
     tables = [_FACTORS[i, latex] for i in range(1, p.width() + 1)]
     times = "" if latex else "*"
     chunks: list[str] = []
-    for exps, coeff in p.terms():
+    for exps, coeff in p._in_order():
         mono = times.join(filter(None, map(getitem, tables, exps)))
         mag = abs(coeff)
         if not mono:

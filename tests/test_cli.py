@@ -380,6 +380,26 @@ def test_verify_run_empty_selection_exits_2(capsys, only):
     assert "empty check selection" in capsys.readouterr().err
 
 
+# every comma-separated field names one check, so a blank field is an error
+@pytest.mark.parametrize("only", ["table1-golden,,rem3.4-degrees,", "table1-golden,",
+                                  ",table1-golden", "table1-golden, ,rem3.4-degrees"])
+def test_verify_run_blank_check_id_exits_2(capsys, only):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "run", "--max-n", "3", "--only", only])
+    assert exc.value.code == 2
+    assert f"bad check list {only!r}" in capsys.readouterr().err
+
+
+def test_verify_run_only_strips_spaces_around_a_name(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "verify", "run", "--max-n", "3", "--only", " table1-golden , rem3.4-degrees ",
+    )
+    assert code == 0
+    assert [line.split()[1] for line in out.splitlines()[:2]] == ["table1-golden",
+                                                                  "rem3.4-degrees"]
+
+
 def test_closed_stdout_exits_1_without_traceback():
     # 134 kB of output overfills the pipe, so the CLI is still writing when
     # the reader closes its end after one line

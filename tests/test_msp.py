@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from math import factorial
 
 import pytest
@@ -151,6 +153,52 @@ def test_members_store_their_terms_in_the_order_terms_returns():
             for k in range(1, n + 1):
                 p = msp.family(kind, n, k, cache)
                 assert list(map(_unpack, p._terms)) == [e for e, _ in p.terms()], (kind, n, k)
+
+
+def _ordered(p: MPoly) -> bool:
+    """Whether p carries the fact that its dict is in graded-lex order."""
+    return getattr(p, "_ordered", False)
+
+
+def test_ordered_members_insert_their_terms_in_graded_lex_order():
+    # the renderers read an ordered member's dict as it stands, so its
+    # insertion order must be the one an independent sort gives
+    members = []
+    for n in range(1, 27):
+        cache = msp.MspCache()
+        for kind in ("S", "B", "L", "A"):
+            for k in range(1, n + 1):
+                value = msp.family(kind, n, k, cache)
+                members.append(((kind, n, k), value.num if kind == "A" else value))
+    cache = msp.MspCache()
+    members += [(("B", 2100, 2), msp.bell_explicit(2100, 2, cache)),
+                (("L", 2100, 2), msp.lah_poly(2100, 2, cache))]
+    for label, p in members:
+        assert _ordered(p), label
+        exps = list(map(_unpack, p._terms))
+        assert exps == sorted(exps, key=lambda e: (sum(e), e)), label
+
+
+def test_only_the_descent_and_its_x1_shifts_are_ordered():
+    cache = msp.MspCache()
+    s, b, a = msp.family("S", 6, 2, cache), msp.family("B", 6, 3, cache), msp.lie_first(6, 2, cache)
+    assert _ordered(s) and _ordered(b) and _ordered(a.num)
+    assert _ordered(s.shift_x1(3)) and _ordered(s.shift_x1(-1))
+    unordered = {
+        "+": s + b, "-": s - b, "negation": -s, "*": s * b, "* int": s * 3,
+        "sum_products": MPoly.sum_products([(s, b, 2)]),
+        "substitute": s.substitute([MPoly.var(j) for j in range(1, s.width() + 1)]),
+        "partial_derivative": s.partial_derivative(2),
+        "MPoly(...)": MPoly(dict(s.terms())),
+        "shift of a sum": (s + b).shift_x1(1),
+        "Bt": msp.family("Bt", 6, 2, cache), "Bn": msp.complete_bell(6, cache),
+        "copy": copy.copy(s), "deepcopy": copy.deepcopy(s),
+        "A, unpickled": pickle.loads(pickle.dumps(a)).num,
+        **{f"pickle {proto}": pickle.loads(pickle.dumps(s, proto))
+           for proto in range(pickle.HIGHEST_PROTOCOL + 1)},
+    }
+    for name, p in unordered.items():
+        assert not _ordered(p), name
 
 
 def test_stirling_first_explicit_values():

@@ -70,6 +70,28 @@ GEN20_DIGESTS = {
 }
 
 
+# `msp gen --kind K --n 26 --format F --force`: the largest rows that the
+# gen-cold benchmark renders, recorded while every member was still sorted
+# on output
+GEN26_DIGESTS = {
+    ("S", "text"): "92dc81e7722ebfa8b977ac47fb50555ca8bee51a02f86406a648862f3ca77678",
+    ("S", "json"): "0b75f1fe720323c094a2756bf09556353b073ccb6af900687aa1fa085b48de5c",
+    ("S", "latex"): "e1a7c93af1080657ce1f74600422069b555f2ce5c9c87a0b0aa3777c7f6148ea",
+    ("A", "text"): "25857c56a0c5e30894935e2b6d6964a58805512f0644b78f7b6a3057ac297e35",
+    ("A", "json"): "4a9a17cad776e18016f52b7b03187417cc14ceaf96e2ecfdcc81b63c85f6d651",
+    ("A", "latex"): "763a19fce878ffa8498e85a9614e5df0f287e0c7c7e21066156b5895fdd010ad",
+    ("B", "text"): "b0d58f8db105365cf58790175190e0665f9e6cb8b670418a30c734f81dc9e0f0",
+    ("B", "json"): "5769a1c5a710ff990a248494d6e6a687b278d5d4210e6819958eb96ef446a718",
+    ("B", "latex"): "bdab71042388d5ee28ed0135a600ac8a2255dd31cc877659c05e10d72480d5b5",
+    ("L", "text"): "8fc3390cebc77dc92b640083ce5779c84e1a93d68797252ebab4cf8535fadcd9",
+    ("L", "json"): "f8fe1957f591e18ca9db7c204efb239e16446d3a4c0b723d1839b0662044b06c",
+    ("L", "latex"): "f45b06b46b92293fb82cc49fd13420695763b7db0fb1a8cb59dcf20e71f100ae",
+    ("Bt", "text"): "c97742564a2fff3bc5821d1d6c0d273554bcbbac6f00108db974a74c15723841",
+    ("Bt", "json"): "aa5de468f86405bfc2eac3fa17c0316cb3172a4073db9074d854ee71ffb6d1ec",
+    ("Bt", "latex"): "4de7d002e5851a8f10edb2b7f7ff4148b480dc771fcd510ba23b67921c873acb",
+}
+
+
 @pytest.mark.parametrize("seed", sorted(REPORT_DIGESTS))
 def test_verify_report_digest(seed):
     report = verify.report_json(verify.run_suite(15, seed=seed), 15, seed)
@@ -96,3 +118,11 @@ def test_gen_row_20_digest(capsys, monkeypatch, kind, fmt):
     argv = ["msp", "gen", "--kind", kind, "--n", "20", "--format", fmt, "--force"]
     assert cli.main(argv) == 0
     assert sha256(capsys.readouterr().out) == GEN20_DIGESTS[kind, fmt]
+
+
+@pytest.mark.parametrize("kind, fmt", sorted(GEN26_DIGESTS))
+def test_gen_row_26_digest(capsys, monkeypatch, kind, fmt):
+    monkeypatch.setattr(msp, "_DEFAULT_CACHE", msp.MspCache())
+    argv = ["msp", "gen", "--kind", kind, "--n", "26", "--format", fmt, "--force"]
+    assert cli.main(argv) == 0
+    assert sha256(capsys.readouterr().out) == GEN26_DIGESTS[kind, fmt]
