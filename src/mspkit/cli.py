@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Iterable
@@ -35,6 +36,19 @@ from .ptypes import format_type, partition_types
 # the row has 195 terms at n = 12 and 23025 at n = 30.  So the limit keeps the
 # default output short; it is not a time ceiling.
 DEFAULT_GEN_DEPTH = 12
+
+
+# int() alone also takes "1_2", " 3", "+3" and non-ASCII digits
+_INT = re.compile("-?[0-9]+")
+
+
+def _strict_int(text: str) -> int:
+    if not _INT.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
+_strict_int.__name__ = "int"  # argparse's error reads "invalid int value: '1_2'"
 
 
 def _parse_coeffs(text: str) -> tuple[Fraction, ...]:
@@ -54,8 +68,8 @@ def _parse_check_ids(text: str) -> list[str]:
 
 def _msp_gen_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", required=True, choices=msp.KINDS)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--n", type=_strict_int, required=True)
+    p.add_argument("--k", type=_strict_int, default=None)
     p.add_argument("--format", default="text", choices=["text", "json", "latex"])
     p.add_argument(
         "--force",
@@ -67,14 +81,14 @@ def _msp_gen_arguments(p: argparse.ArgumentParser) -> None:
 
 def _stirling_table_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", required=True, choices=["s1", "s2", "c", "assoc", "lah"])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_strict_int, required=True)
     p.add_argument("--format", default="text", choices=["text", "json", "csv"])
     p.set_defaults(run=_cmd_stirling_table)
 
 
 def _series_revert_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--coeffs", type=_parse_coeffs, required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_strict_int, required=True)
     p.add_argument("--path", default="msp", choices=["msp", "comtet", "oracle", "all"])
     p.set_defaults(run=_cmd_series_revert)
 
@@ -82,27 +96,27 @@ def _series_revert_arguments(p: argparse.ArgumentParser) -> None:
 def _series_compose_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--f", type=_parse_coeffs, required=True)
     p.add_argument("--g", type=_parse_coeffs, required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_strict_int, required=True)
     p.set_defaults(run=_cmd_series_compose)
 
 
 def _series_exp_transform_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--coeffs", type=_parse_coeffs, required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_strict_int, required=True)
     p.set_defaults(run=_cmd_series_exp_transform)
 
 
 def _ptypes_list_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
+    p.add_argument("n", type=_strict_int)
+    p.add_argument("k", type=_strict_int)
     p.set_defaults(run=_cmd_ptypes_list)
 
 
 def _verify_run_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=_strict_int, required=True)
     p.add_argument("--only", type=_parse_check_ids, default=None,
                    help="comma-separated check ids")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_strict_int, default=0)
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(run=_cmd_verify_run)
 
@@ -158,10 +172,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
 def _check_cap(parser: argparse.ArgumentParser, value: int, name: str, low: int = 0):
     raw = os.environ.get("MSPKIT_MAX_N", "30")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = -1
+    cap = int(raw) if _INT.fullmatch(raw) else -1
     if cap < 0:
         parser.error(f"MSPKIT_MAX_N must be a nonnegative integer, got {raw!r}")
     if value > cap:

@@ -34,12 +34,6 @@ one range check of the stirling module, and call `family`.
 lists; its sixth kind, Bn, is the complete Bell polynomial, summed from the
 cached B members and not cached itself.
 
-Every expansion that weighs family members by powers of X1 (Thm 6.1, both
-directions of Thm 6.4, Cor 4.5 and eq. 6.8) is one sum, `_x1_sum`, over
-triples (member, e, c) with e any int; it returns the sum over a common
-power of X1 and builds each X1^e factor as a raw key, after one check of
-the largest e.
-
 Both polynomial kinds also have an independent recursive path (differential
 recurrences), memoised under the cache kinds B_rec and S_rec; explicit and
 recursive results must agree, which the verify module checks structurally.
@@ -47,10 +41,10 @@ recursive results must agree, which the verify module checks structurally.
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import comb, factorial, perm
+from itertools import combinations, pairwise
+from math import comb, factorial, perm, prod
 
-from .poly import _MAX_EXPONENT, LaurentX1, MPoly, _raw, _raw_ordered, _unit
+from .poly import _MAX_EXPONENT, LaurentX1, MPoly, _raw_ordered, _unit, _x1_sum
 from .ptypes import partition_types, subset_fn
 from .stirling import _check_int, _check_triangle, schloemilch_ladder
 
@@ -319,21 +313,6 @@ def lie_first(n: int, k: int, cache: MspCache | None = None) -> LaurentX1:
 # ---------------------------------------------------------------------------
 
 
-def _x1_sum(parts) -> tuple[MPoly, int]:
-    """The sum of c * X1^e * P over the triples (P, e, c) of `parts`, P an
-    MPoly or a LaurentX1 and e any int, as (num, den) with num / X1^den equal
-    to it; den is the largest power of 1/X1 in a single part, or 0."""
-    parts = [(p.num, e - p.x1_den, c) if isinstance(p, LaurentX1) else (p, e, c)
-             for p, e, c in parts]
-    exps = [e for _, e, _ in parts]
-    den = max(0, -min(exps))
-    # each X1^(e+den) is a raw key, which skips the field check
-    top = max(exps) + den
-    if top > _MAX_EXPONENT:
-        raise ValueError(f"exponent {top} of X1 exceeds {_MAX_EXPONENT}")
-    return MPoly.sum_products((p, _raw({(e + den) * _unit(1): 1}), c) for p, e, c in parts), den
-
-
 def first_from_second_schloemilch(
     n: int, k: int, cache: MspCache | None = None
 ) -> LaurentX1:
@@ -375,7 +354,7 @@ def compose_transform_second(
     _check_triangle(n, k)
     subs = [stirling_first_explicit(j, 1, cache) for j in range(1, n - k + 2)]
     inner = stirling_first_explicit(n, k, cache).substitute(subs)
-    return LaurentX1(inner.shift_x1(max(2 * k - n, 0)), max(n - 2 * k, 0))
+    return LaurentX1(*_x1_sum(((inner, 2 * k - n, 1),)))
 
 
 def convolution_recurrence(
@@ -427,21 +406,13 @@ def snk1_nested(n: int, cache: MspCache | None = None) -> MPoly:
     Intermediate X1 powers can be negative; the total is a polynomial.
     """
     _check_int(n, "n", 2)
-    # the longest chain, {2, ..., n-1}, has the most negative shift, -off
-    off = (n - 1) * (n - 2) // 2
 
-    def parts():
-        # (X1^(shift+off) times every Bell factor but the last, last factor, sign)
-        for r in range(0, n - 1):
-            for chain in combinations(range(2, n), r):
-                ladder = (1,) + chain + (n,)
-                bells = [bell_explicit(hi, lo, cache) for lo, hi in zip(ladder, ladder[1:])]
-                head = MPoly.monomial(1, ((n - 2) - sum(chain) + off,))
-                for factor in bells[:-1]:
-                    head = head * factor
-                yield head, bells[-1], -1 if r % 2 == 0 else 1
+    def part(chain):
+        bells = [bell_explicit(hi, lo, cache) for lo, hi in pairwise((1, *chain, n))]
+        return prod(bells[1:], start=bells[0]), (n - 2) - sum(chain), (-1) ** (len(chain) + 1)
 
-    return MPoly.sum_products(parts()).shift_x1(-off)
+    num, den = _x1_sum(part(c) for r in range(n - 1) for c in combinations(range(2, n), r))
+    return num.shift_x1(-den)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,11 @@ and a plain product a*b is the single triple (a, b, 1).
 
 `LaurentX1` extends this with a single nonnegative power of X1 in the
 denominator; that is the only Laurent behaviour the library needs.
+
+`_x1_sum` alone brings terms c * X1^e * P to a common power of X1, for
+the msp expansions of Thm 6.1, Thm 6.4 (both ways), Cor 4.5, eq. 6.8,
+eq. 6.1 and Cor 5.4(ii), the verify checks of Thm 5.1 and Cor 5.2, and
+`LaurentX1.__add__`: one `sum_products` call, each X1^e a raw key.
 """
 
 from __future__ import annotations
@@ -595,13 +600,11 @@ class LaurentX1:
         return hash((self._num, self._den))
 
     def __add__(self, other: LaurentX1 | MPoly | int) -> LaurentX1:
-        if isinstance(other, (MPoly, int)):
-            other = LaurentX1(other if isinstance(other, MPoly) else MPoly.const(other))
-        if not isinstance(other, LaurentX1):
+        if isinstance(other, int):
+            other = MPoly.const(other)
+        if not isinstance(other, (LaurentX1, MPoly)):
             return NotImplemented
-        d = max(self._den, other._den)
-        num = self._num.shift_x1(d - self._den) + other._num.shift_x1(d - other._den)
-        return LaurentX1(num, d)
+        return LaurentX1(*_x1_sum(((self, 0, 1), (other, 0, 1))))
 
     __radd__ = __add__
 
@@ -654,3 +657,18 @@ class LaurentX1:
 
     def to_json_dict(self) -> dict:
         return {**self._num.to_json_dict(), "x1_den": self._den}
+
+
+def _x1_sum(parts) -> tuple[MPoly, int]:
+    """The sum of c * X1^e * P over the triples (P, e, c) of `parts`, P an
+    MPoly or a LaurentX1 and e any int, as (num, den) with num / X1^den equal
+    to it; den is the largest power of 1/X1 in a single part, or 0."""
+    parts = [(p._num, e - p._den, c) if isinstance(p, LaurentX1) else (p, e, c)
+             for p, e, c in parts]
+    exps = [e for _, e, _ in parts]
+    den = max(0, -min(exps))
+    # each X1^(e+den) is a raw key, which skips the field check
+    top = max(exps) + den
+    if top > _MAX_EXPONENT:
+        raise ValueError(f"exponent {top} of X1 exceeds {_MAX_EXPONENT}")
+    return MPoly.sum_products((p, _raw({(e + den) * _unit(1): 1}), c) for p, e, c in parts), den

@@ -16,7 +16,8 @@ the msp, stirling and series modules, so wrappers installed on those
 modules (a tracer) see every call.  The six two-sided cell checks, which
 compare two msp functions at every cell, are each registered by `_pairs`
 as triples (label, got, want) of function names, looked up on msp at run
-time.
+time.  The Laurent checks thm5.1 and cor5.2 sum each side in one `_x1_sum`
+and compare it with a constant or with their input.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from math import comb, factorial, prod
 from typing import Callable, Iterator, NamedTuple
 
 from . import msp, series, stirling
-from .poly import LaurentX1, MPoly, parse_poly
+from .poly import LaurentX1, MPoly, _x1_sum, parse_poly
 from .ptypes import partition_types, stirling_fn, subset_fn
 
 # ---------------------------------------------------------------------------
@@ -158,16 +159,20 @@ def _table1(depth, rng, cache):
             yield f"(B,{n},{k})", msp.bell_explicit(n, k, cache), parse_poly(text)
 
 
+def _laurent_sum(pairs) -> LaurentX1:
+    """The sum of a*b over the pairs (LaurentX1 a, MPoly b), in one _x1_sum."""
+    return LaurentX1(*_x1_sum((a.num * b, -a.x1_den, 1) for a, b in pairs))
+
+
 @_check("thm5.1-inversion", 10)
 def _inversion_law(depth, rng, cache):
+    lie, bell = msp.lie_first, msp.bell_explicit
     for n, k in _cells(depth):
-        want = LaurentX1.one() if n == k else LaurentX1.zero()
-        lhs = rhs = LaurentX1.zero()
-        for j in range(k, n + 1):
-            lhs = lhs + msp.lie_first(n, j, cache) * msp.bell_explicit(j, k, cache)
-            rhs = rhs + msp.lie_first(j, k, cache) * msp.bell_explicit(n, j, cache)
-        yield f"sum_j A[{n},j]B[j,{k}]", lhs, want
-        yield f"sum_j B[{n},j]A[j,{k}]", rhs, want
+        want = int(n == k)
+        yield (f"sum_j A[{n},j]B[j,{k}]",
+               _laurent_sum((lie(n, j, cache), bell(j, k, cache)) for j in range(k, n + 1)), want)
+        yield (f"sum_j B[{n},j]A[j,{k}]",
+               _laurent_sum((lie(j, k, cache), bell(n, j, cache)) for j in range(k, n + 1)), want)
 
 
 _pairs("crosspath-bell", 12, ("B", "bell_explicit", "bell_recursive"))
@@ -368,17 +373,11 @@ def _random_egf(rng: random.Random, order: int) -> series.EgfCoeffs:
 @_check("cor5.2-sequence-inversion", 8, "random sequences, length {d}")
 def _sequence_inversion(depth, rng, cache):
     q = [_random_poly(rng) for _ in range(depth + 1)]
-    p = []
+    p = [MPoly.sum_products((msp.bell_explicit(n, k, cache), q[k], 1) for k in range(n + 1))
+         for n in range(depth + 1)]
     for n in range(depth + 1):
-        acc = MPoly.zero()
-        for k in range(n + 1):
-            acc = acc + msp.bell_explicit(n, k, cache) * q[k]
-        p.append(acc)
-    for n in range(depth + 1):
-        acc = LaurentX1.zero()
-        for k in range(n + 1):
-            acc = acc + msp.family("A", n, k, cache) * p[k]
-        yield f"n={n}: recovered vs original", acc, LaurentX1(q[n])
+        recovered = _laurent_sum((msp.family("A", n, k, cache), p[k]) for k in range(n + 1))
+        yield f"n={n}: recovered vs original", recovered, q[n]
 
 
 @_check("sec7-revert-three-paths", 10, "30 random inputs, order<={d}")

@@ -6,7 +6,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from mspkit import msp, ptypes, series, stirling
+from mspkit import msp, poly, ptypes, series, stirling
 
 
 class Forbidden:
@@ -25,13 +25,13 @@ class Forbidden:
 @pytest.fixture
 def forbid(monkeypatch):
     """`with forbid(*names):` makes each name fail when used, wherever msp,
-    ptypes, stirling or series holds it, until the block ends."""
+    poly, ptypes, stirling or series holds it, until the block ends."""
 
     @contextmanager
     def forbidden(*names):
         with monkeypatch.context() as m:
             for name in names:
-                for module in (msp, ptypes, stirling, series):
+                for module in (msp, poly, ptypes, stirling, series):
                     if hasattr(module, name):
                         m.setattr(module, name, Forbidden(name))
             yield

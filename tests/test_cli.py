@@ -250,13 +250,37 @@ def test_env_cap(capsys, monkeypatch):
     assert out.strip() == "X1^6"
 
 
-@pytest.mark.parametrize("raw", ["abc", "", "2.5", "-1"])
+@pytest.mark.parametrize("raw", ["abc", "", "2.5", "-1", "3_0", " 30", "+30", "\u0663\u0660"])
 def test_env_cap_rejects_bad_value(capsys, monkeypatch, raw):
     monkeypatch.setenv("MSPKIT_MAX_N", raw)
     with pytest.raises(SystemExit) as exc:
         cli.main(["ptypes", "list", "4", "2"])
     assert exc.value.code == 2
     assert "MSPKIT_MAX_N must be a nonnegative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["1_2", " 3", "+3", "\u0663"])
+@pytest.mark.parametrize("argv, name", [
+    (["msp", "gen", "--kind", "B", "--n", "{}"], "--n"),
+    (["msp", "gen", "--kind", "B", "--n", "3", "--k", "{}"], "--k"),
+    (["stirling", "table", "--kind", "s1", "--n", "{}"], "--n"),
+    (["series", "revert", "--coeffs", "1,2", "--order", "{}"], "--order"),
+    (["series", "compose", "--f", "1", "--g", "1", "--order", "{}"], "--order"),
+    (["series", "exp-transform", "--coeffs", "1", "--order", "{}"], "--order"),
+    (["ptypes", "list", "{}", "2"], "n"),
+    (["ptypes", "list", "4", "{}"], "k"),
+    (["verify", "run", "--max-n", "{}"], "--max-n"),
+    (["verify", "run", "--max-n", "2", "--seed", "{}"], "--seed"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_integer_arguments_take_ascii_digits_only(capsys, argv, name, raw):
+    # int() alone takes underscores, surrounding blanks, a plus sign and
+    # non-ASCII digits
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.format(raw) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {name}: invalid int value: {raw!r}" in captured.err
 
 
 def test_gen_accepts_every_registered_kind(capsys):

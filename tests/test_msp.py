@@ -9,7 +9,7 @@ from math import factorial
 import pytest
 
 from mspkit import msp, series, verify
-from mspkit.poly import LaurentX1, MPoly, _unpack, parse_poly
+from mspkit.poly import LaurentX1, MPoly, _unpack, _x1_sum, parse_poly
 from mspkit.ptypes import order_fn, partition_types, stirling_fn, subset_fn
 
 X1, X2 = MPoly.var(1), MPoly.var(2)
@@ -231,6 +231,7 @@ def test_first_kind_exponent_limit():
 
 def test_first_kind_paths_share_no_computation(forbid):
     want = [msp.stirling_first_explicit(12, k, msp.MspCache()) for k in range(1, 13)]
+    column = [msp.stirling_first_explicit(n, 1, msp.MspCache()) for n in range(2, 11)]
     # the descent enumerates no type list, weighs no type and reads neither
     # the Schloemilch ladder nor the series recursion
     with forbid("stirling_fn", "partition_types", "schloemilch_ladder", "_lie_values"):
@@ -238,12 +239,14 @@ def test_first_kind_paths_share_no_computation(forbid):
                 for k in range(1, 13)] == want
         with pytest.raises(AssertionError, match="was called"):
             msp.stirling_first_from_assoc(12, 3, msp.MspCache())
-    # and the recursive and associated-Bell paths do not run the descent
+    # and the recursive, associated-Bell and nested Bell-product (eq6.1)
+    # paths do not run the descent
     with forbid("_first_kind"):
         assert [msp.stirling_first_recursive(12, k, msp.MspCache())
                 for k in range(1, 13)] == want
         assert [msp.stirling_first_from_assoc(12, k, msp.MspCache())
                 for k in range(1, 13)] == want
+        assert [msp.snk1_nested(n, msp.MspCache()) for n in range(2, 11)] == column
         with pytest.raises(AssertionError, match="_first_kind was called"):
             msp.stirling_first_explicit(12, 3, msp.MspCache())
     # the explicit and recursive paths sum no X1-weighted expansion, which
@@ -410,12 +413,12 @@ def test_stirling_first_from_assoc():
 def test_x1_sum_takes_any_exponent_and_guards_the_x1_field():
     # 3 * X1 * (X2 / X1^2) + X1^-3 * X1 = (3*X1^2*X2 + X1) / X1^3
     parts = [(LaurentX1(X2, 2), 1, 3), (X1, -3, 1)]
-    assert msp._x1_sum(parts) == (parse_poly("X1 + 3*X1^2*X2"), 3)
-    assert msp._x1_sum([(MPoly.const(1), 32767, 1)]) == (MPoly.monomial(1, (32767,)), 0)
+    assert _x1_sum(parts) == (parse_poly("X1 + 3*X1^2*X2"), 3)
+    assert _x1_sum([(MPoly.const(1), 32767, 1)]) == (MPoly.monomial(1, (32767,)), 0)
     # a larger X1 factor would carry into the X2 field; the check is no assert
     for parts in ([(MPoly.const(1), 32768, 1)], [(X1, -1, 1), (MPoly.const(1), 32767, 1)]):
         with pytest.raises(ValueError, match="exponent 32768 of X1 exceeds 32767"):
-            msp._x1_sum(parts)
+            _x1_sum(parts)
 
 
 def test_inversion_law_small():

@@ -247,6 +247,20 @@ def test_int_minus_poly(p):
     assert 7 - p == -(p - 7)
 
 
+@settings(max_examples=100, deadline=None)
+@given(polys, st.integers(0, 4), polys, st.integers(0, 4), st.integers(-3, 3))
+def test_laurent_add_matches_shift_and_add(p, dp, q, dq, c):
+    # the larger denominator, both numerators shifted to it, added and wrapped
+    def shift_and_add(a, b):
+        d = max(a.x1_den, b.x1_den)
+        return LaurentX1(a.num.shift_x1(d - a.x1_den) + b.num.shift_x1(d - b.x1_den), d)
+
+    a, b = LaurentX1(p, dp), LaurentX1(q, dq)
+    assert a + b == shift_and_add(a, b)
+    assert q + a == a + q == shift_and_add(a, LaurentX1(q))
+    assert c + a == a + c == shift_and_add(a, LaurentX1(MPoly.const(c)))
+
+
 def test_int_and_poly_minus_laurent():
     v = LaurentX1(X2, 1)
     assert 3 - v == -(v - 3) == LaurentX1(3 * X1 - X2, 1)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from mspkit import msp, series, stirling, verify
-from mspkit.poly import MPoly
+from mspkit.poly import LaurentX1, MPoly
 
 
 def test_suite_passes_at_depth_6():
@@ -126,6 +126,35 @@ def test_triangle_driver_names_identity_cell_and_values(monkeypatch, check_id, n
     assert result.counterexample == want
     assert verify.report_text([result]) == (
         f"FAIL  {check_id}  [1<=k<=n<=5]  -- {want}\n1 checks, 1 failure(s)")
+
+
+@pytest.mark.parametrize(
+    "check_id, name, key, want",
+    [
+        ("thm5.1-inversion", "lie_first", (4, 2), "sum_j A[4,j]B[j,1]: X2^2/X1^6 != 0"),
+        ("cor5.2-sequence-inversion", "family", ("A", 5, 3),
+         "n=5: recovered vs original: (44*X1^2*X2 + 93*X2*X3^3 + 195*X2^2*X3^2"
+         " - 63*X1*X2^3*X3^2 + 105*X1*X2^5 - 13*X1^2*X2^3*X3 + 26*X1^2*X2^3*X3*X4"
+         " + 291*X1^3*X2^4 + 45*X1^6*X2 + 26*X1^6*X2^3*X3^2 - 85*X1^8*X2^3*X3^2)/X1^6"
+         " != 45*X2 + 26*X2^3*X3^2 - 85*X1^2*X2^3*X3^2"),
+    ],
+    ids=["thm5.1-inversion", "cor5.2-sequence-inversion"],
+)
+def test_laurent_checks_report_the_sum_and_the_target(monkeypatch, check_id, name, key, want):
+    # X2 added to one numerator of the Laurent family A; each check sums
+    # its sides over a common power of X1 and prints the sum in lowest terms
+    real = getattr(msp, name)
+
+    def corrupted(*args):
+        got = real(*args)
+        if args[: len(key)] == key:
+            return LaurentX1(got.num + MPoly.var(2), got.x1_den)
+        return got
+
+    monkeypatch.setattr(msp, name, corrupted)
+    result = verify.run_suite(8, selection=[check_id], seed=0)[0]
+    assert not result.passed
+    assert result.counterexample == want
 
 
 @pytest.mark.parametrize("max_n", [True, 2.5, "4"])
