@@ -14,6 +14,12 @@ tuples trimmed of trailing zeros, and term iteration and serialization use
 graded lexicographic order (total degree first, then the exponent tuple),
 which makes every textual/JSON output deterministic.
 
+The constructor reads its mapping of exponent tuples to ints in one pass.
+Each monomial must be a tuple of int exponents in 0..32767 and each
+coefficient an int; otherwise ValueError names the first faulty term, its
+monomial as given.  Monomials equal up to trailing zeros add up, and zero
+coefficients are dropped once at the end.
+
 `terms()`, `format_poly` and `to_json_dict` sort the terms into that order,
 except for a value whose dict was handed over already in it through
 `_raw_ordered`: the S, B and L members that the descent in the msp module
@@ -44,9 +50,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import chain
 from operator import getitem, mul, or_
-from struct import Struct, error as StructError
+from struct import Struct
 from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -90,21 +95,6 @@ def _check_fields(keys: Iterable[int], union: int) -> None:
 
 
 _INT = {int}
-_TUPLE = {tuple}
-
-
-def _check_exponents(terms: Iterable[Exponents]) -> None:
-    """Name the first key that is not a tuple or has a non-int, negative or
-    too large exponent; return if there is none."""
-    for exps in terms:
-        if not isinstance(exps, tuple):
-            raise ValueError(f"monomial {exps!r} is not a tuple of exponents")
-        if not _INT.issuperset(map(type, exps)):
-            raise ValueError(f"exponent in {exps!r} is not an int")
-        if exps and min(exps) < 0:
-            raise ValueError(f"negative exponent in {exps}")
-        if exps and max(exps) > _MAX_EXPONENT:
-            raise ValueError(f"exponent in {exps} exceeds {_MAX_EXPONENT}")
 
 
 class MPoly:
@@ -115,34 +105,26 @@ class MPoly:
     __slots__ = ("_terms", "_ordered")
 
     def __init__(self, terms: Mapping[Exponents, int] | None = None):
+        try:
+            items = () if terms is None else terms.items()
+        except AttributeError:
+            raise ValueError(f"terms {terms!r} is not a mapping of monomials to ints") from None
         store: dict[int, int] = {}
-        if terms is not None:
-            try:
-                coeffs = terms.values()
-            except AttributeError:
-                raise ValueError(f"terms {terms!r} is not a mapping of monomials to ints") from None
-        if terms:
-            # struct takes any iterable key and bools; only tuples of ints skip
-            # the slow check.  It rejects floats, negatives and values >= 2^16.
-            if not (_TUPLE.issuperset(map(type, terms))
-                    and _INT.issuperset(map(type, chain.from_iterable(terms)))):
-                _check_exponents(terms)
-            try:
-                keys = [int.from_bytes(_CODECS[len(e)].pack(*e), "little") for e in terms]
-            except StructError:
-                _check_exponents(terms)
-            _check_fields(keys, reduce(or_, keys))
-            if not _INT.issuperset(map(type, coeffs)):
-                bad = next(c for c in coeffs if type(c) is not int)
-                raise ValueError(f"coefficient {bad!r} is not an int")
-            store = dict(zip(keys, coeffs))
-            # merge keys that differed only in trailing zeros, drop zeros
-            if len(store) < len(keys) or 0 in coeffs:
-                store = {}
-                for key, coeff in zip(keys, coeffs):
-                    store[key] = store.get(key, 0) + coeff
-                store = {key: c for key, c in store.items() if c}
-        object.__setattr__(self, "_terms", store)
+        for exps, coeff in items:
+            if not isinstance(exps, tuple):
+                raise ValueError(f"monomial {exps!r} is not a tuple of exponents")
+            if not _INT.issuperset(map(type, exps)):
+                raise ValueError(f"exponent in {exps!r} is not an int")
+            if exps and min(exps) < 0:
+                raise ValueError(f"negative exponent in {exps}")
+            if exps and max(exps) > _MAX_EXPONENT:
+                raise ValueError(f"exponent in {exps} exceeds {_MAX_EXPONENT}")
+            if type(coeff) is not int:
+                raise ValueError(f"coefficient {coeff!r} is not an int")
+            # keys that differ only in trailing zeros pack alike and merge
+            key = int.from_bytes(_CODECS[len(exps)].pack(*exps), "little")
+            store[key] = store.get(key, 0) + coeff
+        object.__setattr__(self, "_terms", {key: c for key, c in store.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
@@ -559,14 +541,6 @@ class LaurentX1:
 
     def __reduce__(self):
         return LaurentX1, (self._num, self._den)
-
-    @classmethod
-    def zero(cls) -> LaurentX1:
-        return cls(MPoly.zero(), 0)
-
-    @classmethod
-    def one(cls) -> LaurentX1:
-        return cls(MPoly.const(1), 0)
 
     @property
     def num(self) -> MPoly:

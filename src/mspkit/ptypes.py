@@ -21,9 +21,10 @@ instead):
     stirling_fn  the signed coefficient function of the first-kind
                  Stirling polynomials, defined on types in P(2n-1-k, n-1)
 
-All four are exact integers.  They raise ValueError (also under
-python -O) unless r is a tuple of nonnegative ints, bools excluded, and
-when a division leaves a remainder; nothing is rounded.
+All four are exact integers.  They and format_type raise ValueError
+(also under python -O) unless r is a tuple of nonnegative ints, bools
+excluded; the weights also raise when a division leaves a remainder, as
+nothing is rounded.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ _INT = frozenset({int})
 
 def format_type(r: tuple[int, ...]) -> str:
     """The multiplicities joined by commas, "1,0,2"; "0" for the empty type."""
-    if type(r) is not tuple:
-        raise ValueError(f"a partition type is a tuple, got {r!r}")
+    _check_type(r)
     return ",".join(map(str, r)) if r else "0"
 
 

@@ -472,9 +472,12 @@ def run_suite(
     cache: msp.MspCache | None = None,
 ) -> list[CheckResult]:
     """Run the selected checks (all by default) scaled to depth max_n.  A
-    selection is a list or tuple of check ids; anything else raises
+    selection is a list or tuple of check ids and the seed an int (a bool
+    would seed a stream apart from its equal int); anything else raises
     ValueError."""
     stirling._check_int(max_n, "max_n", 1)
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     known = check_ids()
     if selection is not None:
         if not isinstance(selection, (list, tuple)):

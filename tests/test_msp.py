@@ -424,10 +424,10 @@ def test_x1_sum_takes_any_exponent_and_guards_the_x1_field():
 def test_inversion_law_small():
     for n in range(1, 8):
         for k in range(1, n + 1):
-            total = LaurentX1.zero()
+            total = LaurentX1(MPoly.zero())
             for j in range(k, n + 1):
                 total = total + msp.lie_first(n, j) * msp.bell_explicit(j, k)
-            want = LaurentX1.one() if n == k else LaurentX1.zero()
+            want = 1 if n == k else 0
             assert total == want
 
 
@@ -491,8 +491,8 @@ def test_family_zero_extension_is_uncached():
         assert msp.family(kind, 0, 0, cache) == MPoly.const(1)
         for n, k in [(3, 0), (2, 3), (-1, -1), (0, 1)]:
             assert msp.family(kind, n, k, cache) == MPoly.zero()
-    assert msp.family("A", 0, 0, cache) == LaurentX1.one()
-    assert msp.family("A", 2, 3, cache) == LaurentX1.zero()
+    assert msp.family("A", 0, 0, cache) == LaurentX1(MPoly.const(1))
+    assert msp.family("A", 2, 3, cache) == LaurentX1(MPoly.zero())
     # an unknown kind is rejected inside the triangle and outside it
     for n, k in [(2, 1), (2, 3), (0, 0), (3, 0)]:
         with pytest.raises(ValueError, match="unknown family kind"):

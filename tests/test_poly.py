@@ -5,12 +5,13 @@ from __future__ import annotations
 import copy
 import json
 import pickle
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mspkit.poly import LaurentX1, MPoly, format_poly, parse_poly
@@ -145,7 +146,7 @@ def test_laurent_cancellation():
     s21 = -X2
     total = LaurentX1(s21, 3) + LaurentX1(X2, 3)
     assert total.is_zero
-    assert total == LaurentX1.zero()
+    assert total == LaurentX1(MPoly.zero())
     assert total.x1_den == 0
 
 
@@ -380,10 +381,10 @@ def test_laurent_without_denominator_hashes_as_numerator():
     assert LaurentX1(p * X1 * X1, 2) == p
     assert hash(LaurentX1(p * X1 * X1, 2)) == hash(p)
     assert LaurentX1(MPoly.const(5)) in {5}
-    assert LaurentX1.zero() in {0}
+    assert LaurentX1(MPoly.zero()) in {0}
     assert LaurentX1(p, 1) != p
     # comparing with a bool must not raise, although MPoly.const(True) does
-    assert LaurentX1.one() == True  # noqa: E712
+    assert LaurentX1(MPoly.const(1)) == True  # noqa: E712
     assert MPoly.zero() == False  # noqa: E712
 
 
@@ -506,7 +507,7 @@ def test_non_integer_x1_den_rejected(den):
         LaurentX1(X2, den)
 
 
-@pytest.mark.parametrize("num", [3, 0, Fraction(1, 2), None, "X1", LaurentX1.one()])
+@pytest.mark.parametrize("num", [3, 0, Fraction(1, 2), None, "X1", LaurentX1(MPoly.const(1))])
 def test_laurent_numerator_must_be_a_poly(num):
     with pytest.raises(ValueError, match="is not an MPoly"):
         LaurentX1(num)
@@ -515,7 +516,7 @@ def test_laurent_numerator_must_be_a_poly(num):
 
 
 def test_laurent_operators_defer_on_foreign_operands():
-    one = LaurentX1.one()
+    one = LaurentX1(MPoly.const(1))
     for other in (Fraction(1, 2), 0.5, "x"):
         with pytest.raises(TypeError):
             one + other
@@ -614,6 +615,79 @@ def test_exponent_messages_unchanged():
     with pytest.raises(ValueError) as exc:
         MPoly({(0, 2**16): 1})
     assert str(exc.value) == "exponent in (0, 65536) exceeds 32767"
+
+
+# ---------------------------------------------------------------------------
+# the constructor against an oracle, and its message for each fault
+# ---------------------------------------------------------------------------
+
+Pair = namedtuple("Pair", "a b")
+padded_keys = st.builds(lambda e, pad: e + (0,) * pad, exponents, st.integers(0, 2))
+constructor_keys = st.one_of(padded_keys, st.builds(Pair, st.integers(0, 3), st.integers(0, 3)))
+
+
+def constructor_oracle(terms):
+    """The terms of MPoly(terms): trim each key, sum colliding keys, drop zeros."""
+    out = {}
+    for exps, coeff in terms.items():
+        trimmed = tuple(exps)
+        while trimmed and trimmed[-1] == 0:
+            trimmed = trimmed[:-1]
+        out[trimmed] = out.get(trimmed, 0) + coeff
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def term_mappings(draw):
+    terms = draw(st.dictionaries(constructor_keys, st.integers(-3, 3), max_size=8))
+    # a padded copy of a key with the opposite coefficient cancels it
+    for exps in draw(st.lists(st.sampled_from(list(terms) or [()]), max_size=3)):
+        terms[tuple(exps) + (0,)] = -terms.get(exps, 0)
+    return terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_mappings())
+@example({(1,): 2, (1, 0): 3, (1, 0, 0): -1})
+@example({(0, 1): 2, (0, 1, 0): -2, (): 0})
+@example({Pair(1, 0): 5, (1,): 1, Pair(0, 2): -4, (0, 2, 0): 4})
+def test_constructor_matches_oracle(terms):
+    assert dict(MPoly(terms).terms()) == constructor_oracle(terms)
+
+
+# one fault per mapping, and the exact message it raises
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ({5: 1}, "monomial 5 is not a tuple of exponents"),
+        ({(1, 2.5): 1}, "exponent in (1, 2.5) is not an int"),
+        ({(True,): 1}, "exponent in (True,) is not an int"),
+        ({(0, -1): 1}, "negative exponent in (0, -1)"),
+        ({(32768,): 1}, "exponent in (32768,) exceeds 32767"),
+        ({(1, 65536): 1}, "exponent in (1, 65536) exceeds 32767"),
+        ({(70000,): 1}, "exponent in (70000,) exceeds 32767"),
+        ({(1,): True}, "coefficient True is not an int"),
+        ([1, 2], "terms [1, 2] is not a mapping of monomials to ints"),
+    ],
+    ids=["non-tuple", "float", "bool", "negative", "32768", "65536", "70000",
+         "bool-coeff", "non-mapping"],
+)
+def test_constructor_message_for_each_fault(terms, message):
+    with pytest.raises(ValueError) as exc:
+        MPoly(terms)
+    assert str(exc.value) == message
+
+
+def test_constructor_names_the_first_faulty_term_as_given():
+    with pytest.raises(ValueError) as exc:
+        MPoly({(1,): True, (2, -1): 1})
+    assert str(exc.value) == "coefficient True is not an int"
+    with pytest.raises(ValueError) as exc:
+        MPoly({(2, -1): 1, (1,): True})
+    assert str(exc.value) == "negative exponent in (2, -1)"
+    with pytest.raises(ValueError) as exc:
+        MPoly({(40000, 0): 1})
+    assert str(exc.value) == "exponent in (40000, 0) exceeds 32767"
 
 
 def test_substitute_does_not_sort(monkeypatch):

@@ -390,3 +390,10 @@ def test_format_type():
 def test_format_type_rejects_non_tuples(r):
     with pytest.raises(ValueError, match="a partition type is a tuple"):
         format_type(r)
+
+
+@pytest.mark.parametrize("r", [("a", -1, 2.5), (True,), (2, -1)], ids=repr)
+def test_format_type_rejects_tuples_that_are_not_types(r):
+    # the same check as the weights, so "a,-1,2.5" and "True" are not written
+    with pytest.raises(ValueError, match="a partition type is a tuple of nonnegative ints"):
+        format_type(r)

@@ -66,6 +66,23 @@ def test_reports_are_deterministic():
     assert all(r.passed for r in c)
 
 
+@pytest.mark.parametrize(
+    "seed", [True, False, 1.0, "1", None, object()],
+    ids=["true", "false", "float", "str", "none", "object"],
+)
+def test_seed_must_be_an_int(seed):
+    # True == 1, yet it would seed a stream of its own and report "seed": true
+    with pytest.raises(ValueError, match="seed must be an int"):
+        verify.run_suite(2, selection=["table1-golden"], seed=seed)
+
+
+def test_negative_seed_is_valid():
+    a = verify.run_suite(4, seed=-1)
+    assert all(r.passed for r in a)
+    assert verify.report_json(a, 4, -1) == verify.report_json(verify.run_suite(4, seed=-1), 4, -1)
+    assert '"seed": -1' in verify.report_json(a, 4, -1)
+
+
 def test_report_text_shape():
     results = verify.run_suite(2)
     text = verify.report_text(results)
