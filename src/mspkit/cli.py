@@ -38,8 +38,10 @@ from .ptypes import format_type, partition_types
 DEFAULT_GEN_DEPTH = 12
 
 
-# int() alone also takes "1_2", " 3", "+3" and non-ASCII digits
+# int() alone also takes "1_2", " 3", "+3" and non-ASCII digits, and Fraction()
+# also "1.5", "1e1" and, on some Python versions only, "1_0" or "2/ 3"
 _INT = re.compile("-?[0-9]+")
+_COEFF = re.compile("-?[0-9]+(?:/[0-9]+)?")
 
 
 def _strict_int(text: str) -> int:
@@ -53,6 +55,9 @@ _strict_int.__name__ = "int"  # argparse's error reads "invalid int value: '1_2'
 
 def _parse_coeffs(text: str) -> tuple[Fraction, ...]:
     try:
+        for field in text.split(","):
+            if not _COEFF.fullmatch(field):
+                raise ValueError(f"{field!r} is not an integer or p/q")
         return tuple(map(Fraction, text.split(",")))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad coefficient list {text!r}: {exc}")

@@ -264,6 +264,7 @@ def revert_comtet(f: Egf, cache: msp.MspCache | None = None) -> EgfCoeffs:
     homogeneous of degree k, so the value is
     D^n sum_k (-1)^k Bt_{n+k-1,k}(0, a_2, ..., a_n) a_1^(n-1-k) / a_1^(2n-1).
     """
+    msp._resolve(cache)  # raises for a non-cache also at order 1, which reads no member
     f1 = _nonzero_f1(f)
     D, a = _cleared(f, f.order)
     out = [1 / f1]

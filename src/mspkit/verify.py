@@ -13,11 +13,13 @@ a predicate yields (where, ok, True).  The driver, `run_suite`, stops at
 the first comparison with got != want and reports it as
 "where: got != want".  Each side is computed as the check runs, through
 the msp, stirling and series modules, so wrappers installed on those
-modules (a tracer) see every call.  The six two-sided cell checks, which
-compare two msp functions at every cell, are each registered by `_pairs`
-as triples (label, got, want) of function names, looked up on msp at run
-time.  The Laurent checks thm5.1 and cor5.2 sum each side in one `_x1_sum`
-and compare it with a constant or with their input.
+modules (a tracer) see every call.  The checks of three repeated shapes
+are registered as rows of function names, looked up as the check runs:
+`_pairs` compares two msp functions at every cell (seven checks),
+`_numbers` a closed Stirling-number formula with its table at every cell
+(four), and `_holds` asserts a whole-table predicate (three).  The Laurent
+checks thm5.1 and cor5.2 sum each side in one `_x1_sum` and compare it
+with a constant or with their input.
 """
 
 from __future__ import annotations
@@ -128,20 +130,47 @@ def _cells(depth: int) -> Iterator[tuple[int, int]]:
     return ((n, k) for n in range(1, depth + 1) for k in range(1, n + 1))
 
 
-def _pairs(check_id: str, cap: int, *sides: tuple[str, str, str]) -> None:
+def _pairs(check_id: str, cap: int, *sides: tuple) -> None:
     """Register a check that compares, at each cell and for each side
-    (label, got, want), msp.got(n, k, cache) with msp.want(n, k, cache).
+    (label, got, want) or (label, got, want, lowest k), msp.got(n, k, cache)
+    with msp.want(n, k, cache); a side skips the cells below its lowest k,
+    which defaults to 1.
 
     The names are looked up on msp as the check runs, so a wrapper installed
     there (a tracer, a test's patch) is what gets compared.
     """
+    sides = tuple(side if len(side) == 4 else (*side, 1) for side in sides)
 
     @_check(check_id, cap)
     def compare(depth, rng, cache):
         for n, k in _cells(depth):
-            for label, got, want in sides:
-                yield (f"{label} at ({n},{k})", getattr(msp, got)(n, k, cache),
-                       getattr(msp, want)(n, k, cache))
+            for label, got, want, low in sides:
+                if k >= low:
+                    yield (f"{label} at ({n},{k})", getattr(msp, got)(n, k, cache),
+                           getattr(msp, want)(n, k, cache))
+
+
+def _numbers(check_id: str, cap: int, label: str, formula: str, table: str,
+             aux: str = "") -> None:
+    """Register a check that compares, at each cell, stirling.formula(n, k)
+    with stirling.table(depth).value(n, k); with `aux`, the formula also
+    gets the table stirling.aux(2 * depth).  Names are looked up as in `_pairs`."""
+
+    @_check(check_id, cap)
+    def compare(depth, rng, cache):
+        extra = (getattr(stirling, aux)(2 * depth),) if aux else ()
+        want = getattr(stirling, table)(depth)
+        for n, k in _cells(depth):
+            yield (f"{label} at ({n},{k})", getattr(stirling, formula)(n, k, *extra),
+                   want.value(n, k))
+
+
+def _holds(check_id: str, cap: int, label: str, predicate: str) -> None:
+    """Register a check that stirling.predicate(depth), a fact about whole tables, is True."""
+
+    @_check(check_id, cap, "n<={d}")
+    def compare(depth, rng, cache):
+        yield label, getattr(stirling, predicate)(depth), True
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +209,8 @@ _pairs("crosspath-stirling", 12, ("S", "stirling_first_explicit", "stirling_firs
 _pairs("thm6.1-assoc-expansion", 12, ("S", "stirling_first_explicit", "stirling_first_from_assoc"))
 
 
-@_check("cor5.4-compose", 9)
-def _compose(depth, rng, cache):
-    for n, k in _cells(depth):
-        if k >= 2:
-            yield (f"(i) at ({n},{k})", msp.compose_transform(n, k, cache),
-                   msp.stirling_first_explicit(n, k, cache))
-        yield (f"(ii) at ({n},{k})", msp.compose_transform_second(n, k, cache),
-               msp.bell_explicit(n, k, cache))
+_pairs("cor5.4-compose", 9, ("(i)", "compose_transform", "stirling_first_explicit", 2),
+       ("(ii)", "compose_transform_second", "bell_explicit"))
 
 
 @_check("prop5.5-convolution", 10)
@@ -292,49 +315,14 @@ def _lah_substitution(depth, rng, cache):
 # ---------------------------------------------------------------------------
 
 
-@_check("eq6.7-cycle-formula", 12)
-def _eq67(depth, rng, cache):
-    s2 = stirling.s2_table(depth)
-    for n, k in _cells(depth):
-        yield f"s2 at ({n},{k})", stirling.s2_via_cycle(n, k), s2.value(n, k)
-
-
-@_check("eq6.9-schloemilch-numbers", 15)
-def _eq69(depth, rng, cache):
-    s2 = stirling.s2_table(2 * depth)
-    s1 = stirling.s1_table(depth)
-    for n, k in _cells(depth):
-        yield f"s1 at ({n},{k})", stirling.s1_schloemilch(n, k, s2), s1.value(n, k)
-
-
-@_check("eq6.10-assoc-numbers", 15)
-def _eq610(depth, rng, cache):
-    assoc = stirling.assoc_s2_table(2 * depth)
-    s1 = stirling.s1_table(depth)
-    for n, k in _cells(depth):
-        yield f"s1 at ({n},{k})", stirling.s1_via_assoc(n, k, assoc), s1.value(n, k)
-
-
-@_check("rem4.1-bertrand", 15)
-def _bertrand(depth, rng, cache):
-    s2 = stirling.s2_table(depth)
-    for n, k in _cells(depth):
-        yield f"s2 at ({n},{k})", stirling.s2_bertrand(n, k), s2.value(n, k)
-
-
-@_check("ex5.2-orthogonality", 15, "n<={d}")
-def _orthogonality(depth, rng, cache):
-    yield "s1*s2 = identity", stirling.stirling_orthogonality_check(depth), True
-
-
-@_check("ex5.2-lah-self-inverse", 15, "n<={d}")
-def _lah_inverse(depth, rng, cache):
-    yield "signed Lah table is self-inverse", stirling.lah_self_inverse_check(depth), True
-
-
-@_check("ex5.8-summation-identities", 12, "n<={d}")
-def _ex58(depth, rng, cache):
-    yield "cycle/subset summation identities", stirling.example58_identities(depth), True
+_numbers("eq6.7-cycle-formula", 12, "s2", "s2_via_cycle", "s2_table")
+_numbers("eq6.9-schloemilch-numbers", 15, "s1", "s1_schloemilch", "s1_table", "s2_table")
+_numbers("eq6.10-assoc-numbers", 15, "s1", "s1_via_assoc", "s1_table", "assoc_s2_table")
+_numbers("rem4.1-bertrand", 15, "s2", "s2_bertrand", "s2_table")
+_holds("ex5.2-orthogonality", 15, "s1*s2 = identity", "stirling_orthogonality_check")
+_holds("ex5.2-lah-self-inverse", 15, "signed Lah table is self-inverse", "lah_self_inverse_check")
+_holds("ex5.8-summation-identities", 12, "cycle/subset summation identities",
+       "example58_identities")
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +461,9 @@ def run_suite(
 ) -> list[CheckResult]:
     """Run the selected checks (all by default) scaled to depth max_n.  A
     selection is a list or tuple of check ids and the seed an int (a bool
-    would seed a stream apart from its equal int); anything else raises
-    ValueError."""
+    would seed a stream apart from its equal int), and the cache an MspCache
+    or None for a fresh one; anything else raises ValueError, before any
+    check runs."""
     stirling._check_int(max_n, "max_n", 1)
     if type(seed) is not int:
         raise ValueError(f"seed must be an int, got {seed!r}")
@@ -489,8 +478,7 @@ def run_suite(
             raise ValueError(
                 f"unknown check ids {bad}; valid ids: {', '.join(known)}"
             )
-    if cache is None:
-        cache = msp.MspCache()
+    cache = msp._resolve(msp.MspCache() if cache is None else cache)
     results = []
     for check_id, cap, params, fn in _REGISTRY:
         if selection is not None and check_id not in selection:

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -152,13 +153,21 @@ def test_series_revert_rejects_zero_f1(capsys):
     assert exc.value.code == 2
 
 
-# every comma-separated field is a coefficient, so an empty field is an error
-@pytest.mark.parametrize("coeffs", ["1,x", "1/0", "1,0.5.5", "1,,3", "1,2,", ",1", ""])
+# every comma-separated field is a coefficient, so an empty field is an error,
+# and a field is ASCII digits with an optional leading "-" and an optional
+# "/q".  Fraction() alone takes "2/ 3" and "1_0" on some Python versions only,
+# and the five cases after them on every version
+@pytest.mark.parametrize("coeffs", ["1,x", "1/0", "1,0.5.5", "1,,3", "1,2,", ",1", "",
+                                    "1,2/ 3", "1_0", " 1", "+1", "\u0661", "1.5", "1e1"])
 def test_bad_coefficient_list_is_a_usage_error(capsys, coeffs):
     with pytest.raises(SystemExit) as exc:
         cli.main(["series", "revert", "--coeffs", coeffs, "--order", "2"])
     assert exc.value.code == 2
     assert f"bad coefficient list {coeffs!r}" in capsys.readouterr().err
+
+
+def test_coefficients_in_the_grammar_parse():
+    assert cli._parse_coeffs("-1/2,007,0/5,-0") == (Fraction(-1, 2), 7, 0, 0)
 
 
 def test_series_compose(capsys):

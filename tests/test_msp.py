@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -469,6 +470,10 @@ CACHE_USERS = {
     "convolution_recurrence(1,1)": lambda cache: msp.convolution_recurrence(1, 1, "B", cache),
     "revert_comtet": lambda cache: series.revert_comtet(series.Egf([1, 2, 3, 4]), cache),
     "run_suite": lambda cache: verify.run_suite(4, cache=cache),
+    # order 1, and a selection of number checks, read no member
+    "revert_comtet(order 1)": lambda cache: series.revert_comtet(
+        series.EgfCoeffs((Fraction(3),)), cache),
+    "run_suite(rem4.1)": lambda cache: verify.run_suite(3, ["rem4.1-bertrand"], 0, cache=cache),
 }
 
 

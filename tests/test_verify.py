@@ -126,6 +126,8 @@ def test_empty_selection_rejected():
         ("thm6.4-schloemilch-poly", "first_from_second_schloemilch",
          "(i) at (3,2): (-3*X2 + X1^4)/X1^4 != -3*X2/X1^4"),
         ("thm6.4-schloemilch-poly", "second_from_first", "(ii) at (3,2): 1 + 3*X1*X2 != 3*X1*X2"),
+        ("cor5.4-compose", "compose_transform", "(i) at (3,2): 1 - 3*X1*X2 != -3*X1*X2"),
+        ("cor5.4-compose", "compose_transform_second", "(ii) at (3,2): 1 + 3*X1*X2 != 3*X1*X2"),
     ],
 )
 def test_triangle_driver_names_identity_cell_and_values(monkeypatch, check_id, name, want):
@@ -143,6 +145,43 @@ def test_triangle_driver_names_identity_cell_and_values(monkeypatch, check_id, n
     assert result.counterexample == want
     assert verify.report_text([result]) == (
         f"FAIL  {check_id}  [1<=k<=n<=5]  -- {want}\n1 checks, 1 failure(s)")
+
+
+@pytest.mark.parametrize(
+    "check_id, name, params, want",
+    [
+        # a closed formula against its table, off by one at (3,2)
+        ("eq6.7-cycle-formula", "s2_via_cycle", "1<=k<=n<=5", "s2 at (3,2): 4 != 3"),
+        ("eq6.9-schloemilch-numbers", "s1_schloemilch", "1<=k<=n<=5", "s1 at (3,2): -2 != -3"),
+        ("eq6.10-assoc-numbers", "s1_via_assoc", "1<=k<=n<=5", "s1 at (3,2): -2 != -3"),
+        ("rem4.1-bertrand", "s2_bertrand", "1<=k<=n<=5", "s2 at (3,2): 4 != 3"),
+        # a whole-table predicate that fails
+        ("ex5.2-orthogonality", "stirling_orthogonality_check", "n<=5",
+         "s1*s2 = identity: False != True"),
+        ("ex5.2-lah-self-inverse", "lah_self_inverse_check", "n<=5",
+         "signed Lah table is self-inverse: False != True"),
+        ("ex5.8-summation-identities", "example58_identities", "n<=5",
+         "cycle/subset summation identities: False != True"),
+    ],
+)
+def test_number_checks_name_the_cell_or_table_and_values(monkeypatch, check_id, name, params,
+                                                         want):
+    # the driver looks stirling functions up when it calls them, so a patched
+    # formula or predicate is what gets checked
+    real = getattr(stirling, name)
+
+    def corrupted(n, *args):
+        if not args:  # a predicate, called with the depth alone
+            return False
+        got = real(n, *args)
+        return got + 1 if (n, args[0]) == (3, 2) else got
+
+    monkeypatch.setattr(stirling, name, corrupted)
+    result = verify.run_suite(5, selection=[check_id])[0]
+    assert not result.passed
+    assert result.counterexample == want
+    assert verify.report_text([result]) == (
+        f"FAIL  {check_id}  [{params}]  -- {want}\n1 checks, 1 failure(s)")
 
 
 @pytest.mark.parametrize(
