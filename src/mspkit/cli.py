@@ -38,10 +38,9 @@ from .ptypes import format_type, partition_types
 DEFAULT_GEN_DEPTH = 12
 
 
-# int() alone also takes "1_2", " 3", "+3" and non-ASCII digits, and Fraction()
-# also "1.5", "1e1" and, on some Python versions only, "1_0" or "2/ 3"
+# int() alone also takes "1_2", " 3", "+3" and non-ASCII digits; a coefficient
+# follows series._COEFF, the same grammar with an optional /q
 _INT = re.compile("-?[0-9]+")
-_COEFF = re.compile("-?[0-9]+(?:/[0-9]+)?")
 
 
 def _strict_int(text: str) -> int:
@@ -56,7 +55,7 @@ _strict_int.__name__ = "int"  # argparse's error reads "invalid int value: '1_2'
 def _parse_coeffs(text: str) -> tuple[Fraction, ...]:
     try:
         for field in text.split(","):
-            if not _COEFF.fullmatch(field):
+            if not series._COEFF.fullmatch(field):
                 raise ValueError(f"{field!r} is not an integer or p/q")
         return tuple(map(Fraction, text.split(",")))
     except (ValueError, ZeroDivisionError) as exc:

@@ -37,6 +37,11 @@ cached B members and not cached itself.
 Both polynomial kinds also have an independent recursive path (differential
 recurrences), memoised under the cache kinds B_rec and S_rec; explicit and
 recursive results must agree, which the verify module checks structurally.
+
+Each X1-weighted expansion is one `_x1_sum` (see the poly module), which
+those that must be polynomials read with `to_poly()`.  The Schloemilch-type
+expansions take each member (m, j) from stirling.schloemilch_ladder, and
+`_first_kind` keeps its own r1 ladder, so the explicit S shares none of it.
 """
 
 from __future__ import annotations
@@ -298,8 +303,8 @@ def stirling_first_from_assoc(n: int, k: int, cache: MspCache | None = None) -> 
     sum_{r=k-1}^{n-1} (-1)^(n-1-r) C(2n-2-r, k-1) X1^r Bt_{2n-1-k-r, n-1-r}.
     """
     _check_triangle(n, k)
-    return _x1_sum((family("Bt", 2 * n - 1 - k - r, n - 1 - r, cache), r, lead)
-                   for r, lead, _ in schloemilch_ladder(n, k))[0]
+    return _x1_sum((family("Bt", m, j, cache), r, lead)
+                   for r, m, j, lead, _ in schloemilch_ladder(n, k)).to_poly()
 
 
 def lie_first(n: int, k: int, cache: MspCache | None = None) -> LaurentX1:
@@ -321,17 +326,16 @@ def first_from_second_schloemilch(
     sum_r (-1)^(n-1-r) C(2n-2-r,k-1) C(2n-k,r+1-k) X1^(r-2n+1) B_{2n-1-k-r,n-1-r}.
     """
     _check_triangle(n, k)
-    return LaurentX1(*_x1_sum((family("B", 2 * n - 1 - k - r, n - 1 - r, cache), r + 1 - 2 * n,
-                               lead * tail) for r, lead, tail in schloemilch_ladder(n, k)))
+    return _x1_sum((family("B", m, j, cache), r + 1 - 2 * n, lead * tail)
+                   for r, m, j, lead, tail in schloemilch_ladder(n, k))
 
 
 def second_from_first(n: int, k: int, cache: MspCache | None = None) -> MPoly:
     """The reverse Schloemilch-type expansion, rebuilding B_{n,k} from the
     Laurent first-kind family; the X1 denominators must cancel exactly."""
     _check_triangle(n, k)
-    num, den = _x1_sum((family("A", 2 * n - 1 - k - r, n - 1 - r, cache), 2 * n - 1 - r,
-                        lead * tail) for r, lead, tail in schloemilch_ladder(n, k))
-    return num.shift_x1(-den)
+    return _x1_sum((family("A", m, j, cache), 2 * n - 1 - r, lead * tail)
+                   for r, m, j, lead, tail in schloemilch_ladder(n, k)).to_poly()
 
 
 def compose_transform(n: int, k: int, cache: MspCache | None = None) -> MPoly:
@@ -354,7 +358,7 @@ def compose_transform_second(
     _check_triangle(n, k)
     subs = [stirling_first_explicit(j, 1, cache) for j in range(1, n - k + 2)]
     inner = stirling_first_explicit(n, k, cache).substitute(subs)
-    return LaurentX1(*_x1_sum(((inner, 2 * k - n, 1),)))
+    return _x1_sum(((inner, 2 * k - n, 1),))
 
 
 def convolution_recurrence(
@@ -387,7 +391,8 @@ def cor45_expand(n: int, k: int, cache: MspCache | None = None) -> MPoly:
     """Rebuild B_{n,k} from the associated family:
     sum_{r=0}^{k} C(n,r) X1^r Bt_{n-r,k-r}."""
     _check_triangle(n, k)
-    return _x1_sum((family("Bt", n - r, k - r, cache), r, comb(n, r)) for r in range(k + 1))[0]
+    return _x1_sum((family("Bt", n - r, k - r, cache), r, comb(n, r))
+                   for r in range(k + 1)).to_poly()
 
 
 def eq68_invert(n: int, k: int, cache: MspCache | None = None) -> MPoly:
@@ -395,7 +400,7 @@ def eq68_invert(n: int, k: int, cache: MspCache | None = None) -> MPoly:
     sum_{r=0}^{k} (-1)^r C(n,r) X1^r B_{n-r,k-r}."""
     _check_triangle(n, k)
     return _x1_sum((family("B", n - r, k - r, cache), r, (-1) ** r * comb(n, r))
-                   for r in range(k + 1))[0]
+                   for r in range(k + 1)).to_poly()
 
 
 def snk1_nested(n: int, cache: MspCache | None = None) -> MPoly:
@@ -411,8 +416,7 @@ def snk1_nested(n: int, cache: MspCache | None = None) -> MPoly:
         bells = [bell_explicit(hi, lo, cache) for lo, hi in pairwise((1, *chain, n))]
         return prod(bells[1:], start=bells[0]), (n - 2) - sum(chain), (-1) ** (len(chain) + 1)
 
-    num, den = _x1_sum(part(c) for r in range(n - 1) for c in combinations(range(2, n), r))
-    return num.shift_x1(-den)
+    return _x1_sum(part(c) for r in range(n - 1) for c in combinations(range(2, n), r)).to_poly()
 
 
 # ---------------------------------------------------------------------------

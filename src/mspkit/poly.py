@@ -42,7 +42,9 @@ denominator; that is the only Laurent behaviour the library needs.
 `_x1_sum` alone brings terms c * X1^e * P to a common power of X1, for
 the msp expansions of Thm 6.1, Thm 6.4 (both ways), Cor 4.5, eq. 6.8,
 eq. 6.1 and Cor 5.4(ii), the verify checks of Thm 5.1 and Cor 5.2, and
-`LaurentX1.__add__`: one `sum_products` call, each X1^e a raw key.
+`LaurentX1.__add__`: one `sum_products` call, each X1^e a raw key.  It
+returns the canonical LaurentX1; a caller that needs a polynomial reads it
+with `to_poly()`, which raises if a power of X1 is left in the denominator.
 """
 
 from __future__ import annotations
@@ -526,7 +528,7 @@ class LaurentX1:
             raise ValueError(f"x1_den must be a nonnegative int, got {x1_den!r}")
         if num.is_zero:
             num, x1_den = MPoly.zero(), 0
-        else:
+        elif x1_den:
             g = min(x1_den, num.min_x1_power())
             if g:
                 num, x1_den = num.shift_x1(-g), x1_den - g
@@ -578,7 +580,7 @@ class LaurentX1:
             other = MPoly.const(other)
         if not isinstance(other, (LaurentX1, MPoly)):
             return NotImplemented
-        return LaurentX1(*_x1_sum(((self, 0, 1), (other, 0, 1))))
+        return _x1_sum(((self, 0, 1), (other, 0, 1)))
 
     __radd__ = __add__
 
@@ -633,10 +635,10 @@ class LaurentX1:
         return {**self._num.to_json_dict(), "x1_den": self._den}
 
 
-def _x1_sum(parts) -> tuple[MPoly, int]:
+def _x1_sum(parts) -> LaurentX1:
     """The sum of c * X1^e * P over the triples (P, e, c) of `parts`, P an
-    MPoly or a LaurentX1 and e any int, as (num, den) with num / X1^den equal
-    to it; den is the largest power of 1/X1 in a single part, or 0."""
+    MPoly or a LaurentX1 and e any int, as a canonical LaurentX1; `to_poly()`
+    reads it as a polynomial, and raises if an X1 denominator is left."""
     parts = [(p._num, e - p._den, c) if isinstance(p, LaurentX1) else (p, e, c)
              for p, e, c in parts]
     exps = [e for _, e, _ in parts]
@@ -645,4 +647,5 @@ def _x1_sum(parts) -> tuple[MPoly, int]:
     top = max(exps) + den
     if top > _MAX_EXPONENT:
         raise ValueError(f"exponent {top} of X1 exceeds {_MAX_EXPONENT}")
-    return MPoly.sum_products((p, _raw({(e + den) * _unit(1): 1}), c) for p, e, c in parts), den
+    return LaurentX1(MPoly.sum_products((p, _raw({(e + den) * _unit(1): 1}), c)
+                                       for p, e, c in parts), den)

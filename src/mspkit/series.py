@@ -44,6 +44,7 @@ the helpers below, so it still shares no computation with the other paths.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb, factorial, lcm
 from operator import mul
@@ -52,19 +53,27 @@ from typing import Callable
 from . import msp
 from .stirling import _check_int, convolution_table, recurrence_table
 
+# the one spelling of an exact coefficient as text, for Egf and the CLI;
+# Fraction()'s own string grammar differs between Python versions
+_COEFF = re.compile("-?[0-9]+(?:/[0-9]+)?")
+
 
 class Egf:
     """Coefficients f_1..f_N of a truncated EGF with f_0 = 0.
 
-    Immutable.  Series compare equal when their coefficient lists do,
-    whatever their subtype."""
+    Each coefficient is an int, a Fraction or a string that fully matches
+    the ASCII grammar -?[0-9]+(?:/[0-9]+)?, such as "-3" or "1/10"; floats,
+    bools, and decimal or exponent strings such as "1.5" or "1e1" raise
+    ValueError.  Immutable.  Series compare equal when their coefficient
+    lists do, whatever their subtype."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[Fraction, ...] | list):
         if not isinstance(coeffs, (tuple, list)):
             raise ValueError(f"coefficients must be a tuple or list, got {coeffs!r}")
-        if any(isinstance(c, (float, bool)) for c in coeffs):
+        if any(isinstance(c, (float, bool)) or isinstance(c, str) and not _COEFF.fullmatch(c)
+               for c in coeffs):
             raise ValueError(f"coefficients must be exact, got {coeffs!r}")
         try:
             exact = tuple(Fraction(c) for c in coeffs)

@@ -10,10 +10,13 @@ recurrence_table fills rows from a step over the earlier rows (s1, s2, c,
 Lah, and the series module's total-partition triangle); convolution_table
 runs the Prop 5.5 convolution over integer weights a_j, so its entries are
 the Bell values B_{n,k}(a_1, a_2, ...) (the associated numbers, and the
-series module's Bell triangle at cleared coefficients).
+series module's Bell triangle at cleared coefficients).  Both check their
+input once per call: a step that is not callable, or weights that are not a
+list or tuple of at least nmax + 1 ints (bools excluded), raise ValueError.
 
 The Schloemilch ladder shared by Thm 6.1, Thm 6.4 and eqs. 6.9-6.10 is
-stated once, in schloemilch_ladder; the number formulas here and the
+stated once, in schloemilch_ladder: each rung names the member (m, j) it
+reads with its two coefficients, and the number formulas here and the
 polynomial expansions in the msp module iterate it.
 """
 
@@ -63,6 +66,8 @@ def recurrence_table(nmax: int, step) -> NumberTable:
     for 1 <= k <= n and (n, 0) = 0; t(m, j) reads any earlier row and is 0
     outside 0 <= j <= m."""
     _check_int(nmax, "nmax", 0)
+    if not callable(step):
+        raise ValueError(f"step must be callable, got {step!r}")
     rows: list[tuple[int, ...]] = [(1,)]
 
     def t(m: int, j: int) -> int:
@@ -81,6 +86,8 @@ def convolution_table(nmax: int, a: list[int]) -> NumberTable:
     so T(n,k) is the partial Bell value B_{n,k}(a_1, a_2, ...).
     """
     _check_int(nmax, "nmax", 0)
+    if not isinstance(a, (list, tuple)) or len(a) <= nmax or any(type(x) is not int for x in a):
+        raise ValueError(f"a must be a list or tuple of at least {nmax + 1} ints, got {a!r}")
     rows: list[tuple[int, ...]] = [(1,)]
     for n in range(1, nmax + 1):
         ca = [0] + [comb(n - 1, j - 1) * a[j] for j in range(1, n + 1)]
@@ -167,15 +174,17 @@ def s2_bertrand(n: int, k: int) -> int:
     return q
 
 
-def schloemilch_ladder(n: int, k: int) -> list[tuple[int, int, int]]:
-    """The rungs (r, lead, tail), r = k-1..n-1, that expand the (n, k)
-    first-kind member in the second-kind members (2n-1-k-r, n-1-r):
-    lead = (-1)^(n-1-r) C(2n-2-r, k-1) weighs X1^r Bt in Thm 6.1, lead * tail
-    with tail = C(2n-k, r+1-k) weighs X1^r B in Thm 6.4, and at X = (1, 1, ...)
-    they give eqs. 6.10 and 6.9.  Neither binomial is zero on the ladder."""
+def schloemilch_ladder(n: int, k: int) -> list[tuple[int, int, int, int, int]]:
+    """The rungs (r, m, j, lead, tail), r = k-1..n-1, that expand the (n, k)
+    first-kind member in the second-kind members (m, j) = (2n-1-k-r, n-1-r):
+    lead = (-1)^(n-1-r) C(2n-2-r, k-1) weighs X1^r Bt_{m,j} in Thm 6.1,
+    lead * tail with tail = C(2n-k, r+1-k) weighs X1^r B_{m,j} in Thm 6.4,
+    and at X = (1, 1, ...) they give eqs. 6.10 and 6.9.  Neither binomial is
+    zero on the ladder."""
     _check_triangle(n, k)
     return [
-        (r, (-1 if (n - 1 - r) % 2 else 1) * comb(2 * n - 2 - r, k - 1),
+        (r, 2 * n - 1 - k - r, n - 1 - r,
+         (-1 if (n - 1 - r) % 2 else 1) * comb(2 * n - 2 - r, k - 1),
          comb(2 * n - k, r + 1 - k))
         for r in range(k - 1, n)
     ]
@@ -188,10 +197,7 @@ def s1_schloemilch_terms(
     (signed C(2n-2-r,k-1), C(2n-k,r+1-k) * s2(2n-1-k-r, n-1-r))."""
     _check_triangle(n, k)
     s2 = s2_table(2 * n) if s2 is None else _check_table(s2, "s2")
-    terms = [
-        (lead, tail * s2.value(2 * n - 1 - k - r, n - 1 - r))
-        for r, lead, tail in schloemilch_ladder(n, k)
-    ]
+    terms = [(lead, tail * s2.value(m, j)) for _, m, j, lead, tail in schloemilch_ladder(n, k)]
     return [term for term in terms if term[1]]
 
 
@@ -208,10 +214,7 @@ def s1_via_assoc_terms(
     (signed C(2n-2-r,k-1), assoc(2n-1-k-r, n-1-r))."""
     _check_triangle(n, k)
     assoc = assoc_s2_table(2 * n) if assoc is None else _check_table(assoc, "assoc")
-    terms = [
-        (lead, assoc.value(2 * n - 1 - k - r, n - 1 - r))
-        for r, lead, _ in schloemilch_ladder(n, k)
-    ]
+    terms = [(lead, assoc.value(m, j)) for _, m, j, lead, _ in schloemilch_ladder(n, k)]
     return [term for term in terms if term[1]]
 
 

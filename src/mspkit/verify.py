@@ -190,7 +190,7 @@ def _table1(depth, rng, cache):
 
 def _laurent_sum(pairs) -> LaurentX1:
     """The sum of a*b over the pairs (LaurentX1 a, MPoly b), in one _x1_sum."""
-    return LaurentX1(*_x1_sum((a.num * b, -a.x1_den, 1) for a, b in pairs))
+    return _x1_sum((a.num * b, -a.x1_den, 1) for a, b in pairs)
 
 
 @_check("thm5.1-inversion", 10)

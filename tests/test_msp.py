@@ -414,12 +414,35 @@ def test_stirling_first_from_assoc():
 def test_x1_sum_takes_any_exponent_and_guards_the_x1_field():
     # 3 * X1 * (X2 / X1^2) + X1^-3 * X1 = (3*X1^2*X2 + X1) / X1^3
     parts = [(LaurentX1(X2, 2), 1, 3), (X1, -3, 1)]
-    assert _x1_sum(parts) == (parse_poly("X1 + 3*X1^2*X2"), 3)
-    assert _x1_sum([(MPoly.const(1), 32767, 1)]) == (MPoly.monomial(1, (32767,)), 0)
+    assert _x1_sum(parts) == LaurentX1(parse_poly("X1 + 3*X1^2*X2"), 3)
+    assert _x1_sum([(MPoly.const(1), 32767, 1)]) == LaurentX1(MPoly.monomial(1, (32767,)))
     # a larger X1 factor would carry into the X2 field; the check is no assert
     for parts in ([(MPoly.const(1), 32768, 1)], [(X1, -1, 1), (MPoly.const(1), 32767, 1)]):
         with pytest.raises(ValueError, match="exponent 32768 of X1 exceeds 32767"):
             _x1_sum(parts)
+    # the sum reads as a polynomial only when no power of X1 is left under it
+    with pytest.raises(ValueError, match=r"value has denominator X1\^1"):
+        _x1_sum([(X2, -1, 1)]).to_poly()
+    assert _x1_sum([(X1 * X2, -1, 1)]).to_poly() == X2
+
+
+# a LaurentX1 with no denominator equals its MPoly, so only the type shows
+# whether an expansion that must be a polynomial reads its sum with to_poly()
+EXPANSION_TYPES = [
+    ("stirling_first_from_assoc", (6, 3), MPoly),
+    ("second_from_first", (6, 3), MPoly),
+    ("cor45_expand", (6, 3), MPoly),
+    ("eq68_invert", (6, 3), MPoly),
+    ("eq68_invert", (5, 3), MPoly),  # Bt_{5,3} = 0
+    ("snk1_nested", (6,), MPoly),
+    ("first_from_second_schloemilch", (6, 3), LaurentX1),
+    ("compose_transform_second", (6, 3), LaurentX1),
+]
+
+
+@pytest.mark.parametrize("name, args, want", EXPANSION_TYPES)
+def test_each_expansion_returns_its_type(name, args, want):
+    assert type(getattr(msp, name)(*args)) is want
 
 
 def test_inversion_law_small():

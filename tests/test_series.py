@@ -435,13 +435,20 @@ def test_orders_must_be_ints_at_least_one(name, order):
         ORDER_TAKERS[name](order)
 
 
-@pytest.mark.parametrize("bad", [0.1, 1.0, True, False, None, 1j, "1/0", object()])
+@pytest.mark.parametrize(
+    "bad",
+    [0.1, 1.0, True, False, None, 1j, "1/0", object(),
+     # strings outside the grammar -?[0-9]+(/[0-9]+)?; Fraction() takes some
+     # of them on some Python versions only, and "nan" raised its own message
+     "2/ 3", "1_0", " 1", "+1", "\u0661", "1e1", "1.5", "nan"],
+)
 def test_egf_rejects_float_and_bool_coefficients(bad):
     for cls in (series.Egf, EgfCoeffs):
         with pytest.raises(ValueError, match="coefficients must be exact"):
             cls((F(1), bad))
     # exact spellings of the same numbers are accepted
     assert series.Egf((1, "1/10", F(1, 10))).coeffs == (F(1), F(1, 10), F(1, 10))
+    assert series.Egf(("-1/2", "007", "0/5", "-0")).coeffs == (F(-1, 2), F(7), F(0), F(0))
 
 
 @pytest.mark.parametrize("bad", [3, None, "12", {1: 2}, iter((1, 2))])

@@ -192,6 +192,26 @@ def test_sizes_must_be_ints(case):
         case()
 
 
+BAD_BUILDER_INPUTS = {
+    "float weight": lambda: stirling.convolution_table(3, [0, 1.5, 1, 1]),
+    "bool weight": lambda: stirling.convolution_table(3, [0, True, 1, 1]),
+    "short weights": lambda: stirling.convolution_table(3, [0, 1]),
+    "no weights": lambda: stirling.convolution_table(3, None),
+    "weight string": lambda: stirling.convolution_table(3, "0111"),
+    "no step": lambda: stirling.recurrence_table(3, None),
+    "step not callable": lambda: stirling.recurrence_table(3, 1),
+}
+
+
+@pytest.mark.parametrize("case", BAD_BUILDER_INPUTS.values(), ids=BAD_BUILDER_INPUTS.keys())
+def test_table_builders_reject_inexact_short_or_missing_input(case):
+    # a float weight gave a table of floats, a short list IndexError and
+    # None TypeError
+    with pytest.raises(ValueError, match="a must be a list or tuple of at least 4 ints|step must be callable"):
+        case()
+    assert stirling.convolution_table(3, (0, 1, 1, 1)) == stirling.s2_table(3)
+
+
 @pytest.mark.parametrize(
     "weight, table",
     [
@@ -232,6 +252,9 @@ def test_bertrand():
 
 
 def test_schloemilch_paper_products():
+    # rungs (r, m, j, lead, tail), each naming its member (m, j) = (2n-1-k-r, n-1-r)
+    assert stirling.schloemilch_ladder(7, 4) == [
+        (3, 6, 3, -84, 1), (4, 5, 2, 56, 10), (5, 4, 1, -35, 45), (6, 3, 0, 20, 120)]
     assert stirling.s1_schloemilch_terms(7, 4) == [(-84, 90), (56, 150), (-35, 45)]
     assert stirling.s1_via_assoc_terms(7, 4) == [(-84, 15), (56, 10), (-35, 1)]
     assert stirling.s1_schloemilch(7, 4) == -735
