@@ -62,6 +62,23 @@ def _parse_coeffs(text: str) -> tuple[Fraction, ...]:
         raise argparse.ArgumentTypeError(f"bad coefficient list {text!r}: {exc}")
 
 
+# argparse reads a separate value that starts with "-" as an option unless it
+# is a bare number, so main joins a coefficient list such as -3/4,5 to the
+# option before it, as in --coeffs=-3/4,5; -h stays help
+_LIST_OPTIONS = ("--coeffs", "--f", "--g")
+_NEGATIVE = re.compile("-[0-9]")
+
+
+def _join_negative_lists(argv: list[str]) -> list[str]:
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in _LIST_OPTIONS and _NEGATIVE.match(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def _parse_check_ids(text: str) -> list[str]:
     ids = [chunk.strip() for chunk in text.split(",")]
     if "" in ids:
@@ -325,7 +342,7 @@ def _cmd_verify_run(parser, args) -> int:
 
 
 def main(argv: Iterable[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _join_negative_lists(sys.argv[1:] if argv is None else list(argv))
     parser = _build_parser(argv)
     args = parser.parse_args(argv)
     try:

@@ -20,12 +20,17 @@ sort (see the poly module).  Bt stays on partition_types and
 subset_fn, so that the identity checks pairing it with S or B compare two
 computations.
 
-`family` extends each kind by zero: 1 at (0,0) and 0 elsewhere outside
-1 <= k <= n (a LaurentX1 for A, an MPoly otherwise), uncached.  It takes
-only int indices (bool excluded), so (True, 1) never reads the (1, 1)
-entry.  Members inside the triangle are memoised under (kind, n, k) in an
-append-only MspCache; a cache of None means the process-wide _DEFAULT_CACHE,
-and a cache that is neither raises ValueError, outside the triangle too.
+`family` has one input gate, passed before any member is read or built.
+It takes only int indices (bool excluded), so (True, 1) never reads the
+(1, 1) entry; then `_resolve` maps a cache of None to the process-wide
+_DEFAULT_CACHE and rejects anything but an MspCache; then the kind must be
+one of S, B, Bt, L and A.  Each failure raises ValueError, and a bad cache
+is reported before a bad kind, in every cell.  Past the gate, `family`
+extends each kind by zero: 1 at (0,0) and 0 elsewhere outside
+1 <= k <= n (a LaurentX1 for A, an MPoly otherwise), uncached.  Members
+inside the triangle are memoised under (kind, n, k) in an append-only
+MspCache, which also holds the recursive paths' members; the gate keeps
+those kinds from being read through `family`.
 
 The public generators check that n and k are ints in range (k >= 0 for
 B and Bt, where B_{0,0} = 1 and B_{n,0} = 0; k >= 1 otherwise), with the
@@ -35,7 +40,8 @@ lists; its sixth kind, Bn, is the complete Bell polynomial, summed from the
 cached B members and not cached itself.
 
 Both polynomial kinds also have an independent recursive path (differential
-recurrences), memoised under the cache kinds B_rec and S_rec; explicit and
+recurrences), memoised under the cache kinds B_rec and S_rec, with the k = 0
+column of bell_recursive read from `family`'s zero extension; explicit and
 recursive results must agree, which the verify module checks structurally.
 
 Each X1-weighted expansion is one `_x1_sum` (see the poly module), which
@@ -73,6 +79,7 @@ class MspCache:
 
 
 _DEFAULT_CACHE = MspCache()
+_FAMILIES = frozenset(("S", "B", "Bt", "L", "A"))
 
 
 def family(kind: str, n: int, k: int, cache: MspCache | None = None) -> CacheValue:
@@ -80,33 +87,25 @@ def family(kind: str, n: int, k: int, cache: MspCache | None = None) -> CacheVal
     extended by zero outside 1 <= k <= n with the (0,0) member equal to 1."""
     if type(n) is not int or type(k) is not int:
         _check_triangle(n, k)  # raises the generators' "indices must be ints"
+    c = _resolve(cache)
+    if not isinstance(kind, str) or kind not in _FAMILIES:
+        raise ValueError(f"unknown family kind {kind!r} (expected S, B, Bt, L or A)")
     if not 1 <= k <= n:
-        if kind not in ("S", "B", "Bt", "L", "A"):
-            raise _unknown_family(kind)
-        _resolve(cache)
         value = MPoly.const(1) if n == k == 0 else MPoly.zero()
         return LaurentX1(value) if kind == "A" else value
-    c = _DEFAULT_CACHE if cache is None else cache
-    try:
-        hit = c.get(kind, n, k)
-    except (TypeError, AttributeError):  # not an MspCache, or an unhashable kind
-        if not isinstance(c, MspCache):
-            raise _not_a_cache(cache) from None
-        raise _unknown_family(kind) from None
+    hit = c.get(kind, n, k)
     if hit is not None:
         return hit
     if kind == "A":
         return c.put(kind, n, k, LaurentX1(family("S", n, k, c), 2 * n - 1))
     if kind == "S":
         return c.put(kind, n, k, _first_kind(n, k))
-    if kind in ("B", "L"):
-        # n elements in k blocks of sizes >= 1
-        return c.put(kind, n, k, _blocks(kind, n, k, [(1, n, k, 0, 1)]))
     if kind == "Bt":
         # no block of size 1: drop one element from each block, leaving P(n-k, k)
         types = [(0,) + r for r in partition_types(n - k, k)]
         return c.put(kind, n, k, MPoly({r: subset_fn(r) for r in types}))
-    raise _unknown_family(kind)
+    # B and L: n elements in k blocks of sizes >= 1
+    return c.put(kind, n, k, _blocks(kind, n, k, [(1, n, k, 0, 1)]))
 
 
 def _blocks(kind: str, n: int, k: int, starts) -> MPoly:
@@ -186,19 +185,11 @@ def _first_kind(n: int, k: int) -> MPoly:
     return _blocks("S", n, k, starts)
 
 
-def _unknown_family(kind: str) -> ValueError:
-    return ValueError(f"unknown family kind {kind!r} (expected S, B, Bt, L or A)")
-
-
-def _not_a_cache(cache) -> ValueError:
-    return ValueError(f"cache must be an MspCache or None, got {cache!r}")
-
-
 def _resolve(cache: MspCache | None) -> MspCache:
     """`cache`, or _DEFAULT_CACHE for None; anything else raises ValueError."""
     c = _DEFAULT_CACHE if cache is None else cache
     if not isinstance(c, MspCache):
-        raise _not_a_cache(cache)
+        raise ValueError(f"cache must be an MspCache or None, got {cache!r}")
     return c
 
 
@@ -245,8 +236,7 @@ def bell_recursive(n: int, k: int, cache: MspCache | None = None) -> MPoly:
     """
     _check_triangle(n, k, 0)
     if k == 0:
-        _resolve(cache)
-        return MPoly.const(1) if n == 0 else MPoly.zero()
+        return family("B", n, 0, cache)
     x1 = MPoly.var(1)
     return _recursive("B_rec", n, k, cache, x1, lambda m, prev, low, d: x1 * low + d)
 

@@ -77,7 +77,8 @@ class Egf:
             raise ValueError(f"coefficients must be exact, got {coeffs!r}")
         try:
             exact = tuple(Fraction(c) for c in coeffs)
-        except (TypeError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+            # also Decimal NaN and Infinity, which Fraction() rejects with its own message
             raise ValueError(f"coefficients must be exact rationals, got {coeffs!r}") from exc
         if not exact:
             raise ValueError("at least one coefficient is required")

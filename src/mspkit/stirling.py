@@ -13,6 +13,9 @@ the Bell values B_{n,k}(a_1, a_2, ...) (the associated numbers, and the
 series module's Bell triangle at cleared coefficients).  Both check their
 input once per call: a step that is not callable, or weights that are not a
 list or tuple of at least nmax + 1 ints (bools excluded), raise ValueError.
+recurrence_table also checks each finished row once, so a step that cannot
+be called as step(t, n, k), or returns anything but ints (bools excluded),
+raises ValueError too.
 
 The Schloemilch ladder shared by Thm 6.1, Thm 6.4 and eqs. 6.9-6.10 is
 stated once, in schloemilch_ladder: each rung names the member (m, j) it
@@ -74,7 +77,13 @@ def recurrence_table(nmax: int, step) -> NumberTable:
         return rows[m][j] if 0 <= j <= m else 0
 
     for n in range(1, nmax + 1):
-        rows.append(tuple([0] + [step(t, n, k) for k in range(1, n + 1)]))
+        try:
+            row = (0, *[step(t, n, k) for k in range(1, n + 1)])
+        except TypeError as exc:
+            raise ValueError(f"step must map (t, n, k) to an int: {exc}") from exc
+        if any(type(x) is not int for x in row):
+            raise ValueError(f"step must map (t, n, k) to an int, got row {n} = {row!r}")
+        rows.append(row)
     return NumberTable(tuple(rows))
 
 

@@ -170,6 +170,31 @@ def test_coefficients_in_the_grammar_parse():
     assert cli._parse_coeffs("-1/2,007,0/5,-0") == (Fraction(-1, 2), 7, 0, 0)
 
 
+# argparse reads a separate "-3/4,5" as an option; main joins a list that
+# starts with "-" and a digit to the option before it
+@pytest.mark.parametrize("argv, joined", [
+    (["series", "revert", "--coeffs", "-3/4,5", "--order", "4", "--path", "all"], "--coeffs=-3/4,5"),
+    (["series", "compose", "--f", "-1,2", "--g", "1,1", "--order", "4"], "--f=-1,2"),
+    (["series", "compose", "--f", "1,2", "--g", "-1/2,1", "--order", "4"], "--g=-1/2,1"),
+], ids=["coeffs", "f", "g"])
+def test_a_list_that_starts_with_minus_may_be_a_separate_argument(capsys, argv, joined):
+    i = argv.index(joined.split("=")[0])
+    equals_form = argv[:i] + [joined] + argv[i + 2:]
+    separate, equals = run_cli(capsys, *argv), run_cli(capsys, *equals_form)
+    assert separate == equals
+    assert separate[0] == 0 and separate[1]
+    # -h is never read as a list: it still asks for help, and right after
+    # the option it leaves the option without a value, as argparse has it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv[:i + 1] + ["-h"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_series_compose(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -490,6 +490,9 @@ CACHE_USERS = {
     "bell_recursive(0,0)": lambda cache: msp.bell_recursive(0, 0, cache),
     "assoc_bell(3,0)": lambda cache: msp.assoc_bell(3, 0, cache),
     "family(S,2,3)": lambda cache: msp.family("S", 2, 3, cache),
+    # with a bad kind too, the cache error wins inside the triangle and outside it
+    "family(Q,1,1)": lambda cache: msp.family("Q", 1, 1, cache),
+    "family(Q,0,0)": lambda cache: msp.family("Q", 0, 0, cache),
     "convolution_recurrence(1,1)": lambda cache: msp.convolution_recurrence(1, 1, "B", cache),
     "revert_comtet": lambda cache: series.revert_comtet(series.Egf([1, 2, 3, 4]), cache),
     "run_suite": lambda cache: verify.run_suite(4, cache=cache),
@@ -525,6 +528,27 @@ def test_family_zero_extension_is_uncached():
     for n, k in [(2, 1), (2, 3), (0, 0), (3, 0)]:
         with pytest.raises(ValueError, match="unknown family kind"):
             msp.family("Q", n, k, cache)
+    assert len(cache) == 0
+
+
+def test_family_rejects_the_recursive_memo_kinds():
+    cache = msp.MspCache()
+    msp.bell_recursive(3, 2, cache)
+    msp.stirling_first_recursive(3, 2, cache)
+    size = len(cache)
+    # the memo holds B_rec and S_rec members, but family builds neither kind
+    for kind in ("B_rec", "S_rec"):
+        for n, k in [(3, 2), (2, 1), (2, 3), (0, 0)]:
+            with pytest.raises(ValueError, match="unknown family kind"):
+                msp.family(kind, n, k, cache)
+    assert len(cache) == size
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_bell_recursive_column_zero_is_the_zero_extension(n):
+    cache = msp.MspCache()
+    assert msp.bell_recursive(n, 0, cache) == msp.family("B", n, 0, cache)
+    assert msp.bell_recursive(n, 0, cache) == (MPoly.const(1) if n == 0 else MPoly.zero())
     assert len(cache) == 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pickle
 import random
 from copy import deepcopy
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
@@ -440,7 +441,9 @@ def test_orders_must_be_ints_at_least_one(name, order):
     [0.1, 1.0, True, False, None, 1j, "1/0", object(),
      # strings outside the grammar -?[0-9]+(/[0-9]+)?; Fraction() takes some
      # of them on some Python versions only, and "nan" raised its own message
-     "2/ 3", "1_0", " 1", "+1", "\u0661", "1e1", "1.5", "nan"],
+     "2/ 3", "1_0", " 1", "+1", "\u0661", "1e1", "1.5", "nan",
+     # Decimal specials, which Fraction() rejects with OverflowError or its own message
+     Decimal("Infinity"), Decimal("-Infinity"), Decimal("NaN"), Decimal("sNaN")],
 )
 def test_egf_rejects_float_and_bool_coefficients(bad):
     for cls in (series.Egf, EgfCoeffs):
@@ -449,6 +452,8 @@ def test_egf_rejects_float_and_bool_coefficients(bad):
     # exact spellings of the same numbers are accepted
     assert series.Egf((1, "1/10", F(1, 10))).coeffs == (F(1), F(1, 10), F(1, 10))
     assert series.Egf(("-1/2", "007", "0/5", "-0")).coeffs == (F(-1, 2), F(7), F(0), F(0))
+    # a finite Decimal is exact
+    assert series.Egf((1, Decimal("1.5"))).coeffs == (F(1), F(3, 2))
 
 
 @pytest.mark.parametrize("bad", [3, None, "12", {1: 2}, iter((1, 2))])

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
 
@@ -200,6 +201,13 @@ BAD_BUILDER_INPUTS = {
     "weight string": lambda: stirling.convolution_table(3, "0111"),
     "no step": lambda: stirling.recurrence_table(3, None),
     "step not callable": lambda: stirling.recurrence_table(3, 1),
+    # a step must map (t, n, k) to an int: a float, bool or Fraction entry
+    # filled the table, and a step of the wrong arity raised TypeError
+    "float step": lambda: stirling.recurrence_table(3, lambda t, n, k: 0.5),
+    "bool step": lambda: stirling.recurrence_table(3, lambda t, n, k: True),
+    "Fraction step": lambda: stirling.recurrence_table(3, lambda t, n, k: Fraction(1, 2)),
+    "late float step": lambda: stirling.recurrence_table(3, lambda t, n, k: 0.5 if n == 3 else 1),
+    "two-argument step": lambda: stirling.recurrence_table(3, lambda t, n: 1),
 }
 
 
@@ -207,7 +215,8 @@ BAD_BUILDER_INPUTS = {
 def test_table_builders_reject_inexact_short_or_missing_input(case):
     # a float weight gave a table of floats, a short list IndexError and
     # None TypeError
-    with pytest.raises(ValueError, match="a must be a list or tuple of at least 4 ints|step must be callable"):
+    with pytest.raises(ValueError, match="a must be a list or tuple of at least 4 ints"
+                       "|step must be callable|step must map \\(t, n, k\\) to an int"):
         case()
     assert stirling.convolution_table(3, (0, 1, 1, 1)) == stirling.s2_table(3)
 
