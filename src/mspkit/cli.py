@@ -5,15 +5,18 @@ ptypes list, verify run.  Each leaf parser names its handler with
 set_defaults(run=...), and main calls it.  main builds only the part of the
 command tree that argv selects, and all of it at a level where argv names no
 command or leaf, so help texts and usage errors are those of the whole tree;
-the parser is built afresh on every call.  All machine-readable output goes
-to stdout, diagnostics to stderr.  Exit status: 0 on success, 1 on a failed
-check, a path disagreement or a reader that closed stdout early, 2 on usage
-errors.
+the parser is built afresh on every call.  No parser takes a prefix of an
+option name (allow_abbrev=False), so argparse and the join of a negative
+coefficient list to its option read the same full names.  All
+machine-readable output goes to stdout, diagnostics to stderr.  Exit
+status: 0 on success, 1 on a check that fails or raises, a path
+disagreement or a reader that closed stdout early, 2 on usage errors.
 
 One helper bounds every depth argument: at most the environment variable
 MSPKIT_MAX_N (default 30), a safety valve, and at least 1 for msp gen --n,
---order and --max-n, else 0.  Another builds every series argument as an
-Egf truncated or zero-padded to --order.
+--order and --max-n, else 0.  Another builds every series argument, a
+coefficient list parsed to Fractions by one ASCII grammar, as an Egf
+truncated or zero-padded to --order.
 """
 
 from __future__ import annotations
@@ -38,9 +41,10 @@ from .ptypes import format_type, partition_types
 DEFAULT_GEN_DEPTH = 12
 
 
-# int() alone also takes "1_2", " 3", "+3" and non-ASCII digits; a coefficient
-# follows series._COEFF, the same grammar with an optional /q
+# int() alone also takes "1_2", " 3", "+3" and non-ASCII digits, and Fraction()'s
+# string grammar differs between Python versions; a coefficient may add a /q
 _INT = re.compile("-?[0-9]+")
+_COEFF = re.compile("-?[0-9]+(?:/[0-9]+)?")
 
 
 def _strict_int(text: str) -> int:
@@ -55,7 +59,7 @@ _strict_int.__name__ = "int"  # argparse's error reads "invalid int value: '1_2'
 def _parse_coeffs(text: str) -> tuple[Fraction, ...]:
     try:
         for field in text.split(","):
-            if not series._COEFF.fullmatch(field):
+            if not _COEFF.fullmatch(field):
                 raise ValueError(f"{field!r} is not an integer or p/q")
         return tuple(map(Fraction, text.split(",")))
     except (ValueError, ZeroDivisionError) as exc:
@@ -175,19 +179,20 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         prog="mspkit",
         description="Exact multivariate Stirling polynomials, number tables, "
         "series reversion and the identity-check suite.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     leaf = argv[1] if command and len(argv) > 1 else None
     for name, (text, leaves) in _COMMANDS.items():
-        p_command = sub.add_parser(name, help=text)
+        p_command = sub.add_parser(name, help=text, allow_abbrev=False)
         if command not in (None, name):
             continue
         leaf_sub = p_command.add_subparsers(dest="subcommand", required=True)
         for leaf_name, (leaf_text, add_arguments) in leaves.items():
             if leaf in leaves and leaf_name != leaf:
                 continue
-            add_arguments(leaf_sub.add_parser(leaf_name, help=leaf_text))
+            add_arguments(leaf_sub.add_parser(leaf_name, help=leaf_text, allow_abbrev=False))
     return parser
 
 

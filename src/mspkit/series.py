@@ -1,11 +1,13 @@
 """Truncated exponential generating functions and exact Lagrange inversion.
 
 A series f = sum f_n x^n / n! with f_0 = 0 is carried by its coefficient
-list f_1..f_N of exact rationals (Egf); composition and exp(t*f) take any
-such series.  Row n of exp(t*f) is the tuple of its n+1 t-coefficients,
-the Fractions at t^0..t^n.  Reversion (the compositional inverse) needs
-f_1 != 0, which the subtype EgfCoeffs enforces and every inversion path
-checks; it is computed by three structurally independent paths:
+list f_1..f_N (Egf), each an int or a Fraction and stored as a Fraction;
+text is parsed by the caller (the CLI has its own grammar).  Composition
+and exp(t*f) take any such series.  Row n of exp(t*f) is the tuple of its
+n+1 t-coefficients, the Fractions at t^0..t^n.  Reversion (the
+compositional inverse) needs f_1 != 0, which the subtype EgfCoeffs enforces
+and every inversion path checks; it is computed by three structurally
+independent paths:
 
     revert_msp     the paper's signed coefficient sum over the partition
                    types P(2n-2, n-1), regrouped by part size
@@ -44,7 +46,6 @@ the helpers below, so it still shares no computation with the other paths.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import comb, factorial, lcm
 from operator import mul
@@ -53,36 +54,25 @@ from typing import Callable
 from . import msp
 from .stirling import _check_int, convolution_table, recurrence_table
 
-# the one spelling of an exact coefficient as text, for Egf and the CLI;
-# Fraction()'s own string grammar differs between Python versions
-_COEFF = re.compile("-?[0-9]+(?:/[0-9]+)?")
-
 
 class Egf:
     """Coefficients f_1..f_N of a truncated EGF with f_0 = 0.
 
-    Each coefficient is an int, a Fraction or a string that fully matches
-    the ASCII grammar -?[0-9]+(?:/[0-9]+)?, such as "-3" or "1/10"; floats,
-    bools, and decimal or exponent strings such as "1.5" or "1e1" raise
-    ValueError.  Immutable.  Series compare equal when their coefficient
-    lists do, whatever their subtype."""
+    Each coefficient is an int or a Fraction, as for the points of
+    MPoly.eval_rat; anything else, such as a float, a bool, a Decimal or a
+    string, raises ValueError.  Immutable.  Series compare equal when their
+    coefficient lists do, whatever their subtype."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[Fraction, ...] | list):
         if not isinstance(coeffs, (tuple, list)):
             raise ValueError(f"coefficients must be a tuple or list, got {coeffs!r}")
-        if any(isinstance(c, (float, bool)) or isinstance(c, str) and not _COEFF.fullmatch(c)
-               for c in coeffs):
+        if not all(type(c) is int or isinstance(c, Fraction) for c in coeffs):
             raise ValueError(f"coefficients must be exact, got {coeffs!r}")
-        try:
-            exact = tuple(Fraction(c) for c in coeffs)
-        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
-            # also Decimal NaN and Infinity, which Fraction() rejects with its own message
-            raise ValueError(f"coefficients must be exact rationals, got {coeffs!r}") from exc
-        if not exact:
+        if not coeffs:
             raise ValueError("at least one coefficient is required")
-        object.__setattr__(self, "coeffs", exact)
+        object.__setattr__(self, "coeffs", tuple(map(Fraction, coeffs)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

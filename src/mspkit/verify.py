@@ -11,15 +11,16 @@ All 31 checks follow one protocol: a check is a generator of (where, got,
 want) comparisons, most of them over the cells 1 <= k <= n <= depth, and
 a predicate yields (where, ok, True).  The driver, `run_suite`, stops at
 the first comparison with got != want and reports it as
-"where: got != want".  Each side is computed as the check runs, through
-the msp, stirling and series modules, so wrappers installed on those
-modules (a tracer) see every call.  The checks of three repeated shapes
-are registered as rows of function names, looked up as the check runs:
-`_pairs` compares two msp functions at every cell (seven checks),
-`_numbers` a closed Stirling-number formula with its table at every cell
-(four), and `_holds` asserts a whole-table predicate (three).  The Laurent
-checks thm5.1 and cor5.2 sum each side in one `_x1_sum` and compare it
-with a constant or with their input.
+"where: got != want"; a check whose sides raise an exception fails with
+"raised <Type>: <message>", and the suite goes on.  Each side is computed
+as the check runs, through the msp, stirling and series modules, so
+wrappers installed on those modules (a tracer) see every call.  The
+checks of three repeated shapes are registered as rows of function names,
+looked up as the check runs: `_pairs` compares two msp functions at every
+cell (seven checks), `_numbers` a closed Stirling-number formula with its
+table at every cell (four), and `_holds` asserts a whole-table predicate
+(three).  The Laurent checks thm5.1 and cor5.2 sum each side in one
+`_x1_sum` and compare it with a constant or with their input.
 """
 
 from __future__ import annotations
@@ -463,7 +464,7 @@ def run_suite(
     selection is a list or tuple of check ids and the seed an int (a bool
     would seed a stream apart from its equal int), and the cache an MspCache
     or None for a fresh one; anything else raises ValueError, before any
-    check runs."""
+    check runs.  Once checks run, an Exception inside one fails that check."""
     stirling._check_int(max_n, "max_n", 1)
     if type(seed) is not int:
         raise ValueError(f"seed must be an int, got {seed!r}")
@@ -486,9 +487,12 @@ def run_suite(
         depth = min(cap, max_n)
         rng = random.Random(f"{seed}:{check_id}")
         start = time.perf_counter()
-        failures = (f"{where}: {got} != {want}"
-                    for where, got, want in fn(depth, rng, cache) if got != want)
-        counterexample = next(failures, None)
+        try:
+            failures = (f"{where}: {got} != {want}"
+                        for where, got, want in fn(depth, rng, cache) if got != want)
+            counterexample = next(failures, None)
+        except Exception as exc:
+            counterexample = f"raised {type(exc).__name__}: {exc}"
         wall_ms = (time.perf_counter() - start) * 1000.0
         results.append(
             CheckResult(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -195,6 +196,26 @@ def test_a_list_that_starts_with_minus_may_be_a_separate_argument(capsys, argv, 
     assert "expected one argument" in capsys.readouterr().err
 
 
+def all_parsers(parser):
+    """`parser` and every parser below it."""
+    below = [p for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+             for p in action.choices.values()]
+    return [parser, *(q for p in below for q in all_parsers(p))]
+
+
+def test_every_parser_takes_full_option_names_only():
+    parsers = all_parsers(cli._build_parser([]))
+    assert len(parsers) == 1 + len(cli._COMMANDS) + sum(
+        len(leaves) for _, leaves in cli._COMMANDS.values())
+    assert all(p.allow_abbrev is False for p in parsers)
+
+
+def test_the_join_names_every_option_that_takes_a_coefficient_list():
+    takes_a_list = {option for p in all_parsers(cli._build_parser([])) for action in p._actions
+                    if action.type is cli._parse_coeffs for option in action.option_strings}
+    assert takes_a_list == set(cli._LIST_OPTIONS)
+
+
 def test_series_compose(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -247,6 +268,24 @@ def test_verify_run_only(capsys):
     assert out.splitlines()[0].startswith("PASS  table1-golden")
 
 
+def test_verify_run_reports_a_check_that_raises(capsys, monkeypatch):
+    real = msp.cor45_expand
+
+    def patched(n, k, cache=None):
+        if n == 7:
+            raise ValueError("value has denominator X1^1")
+        return real(n, k, cache)
+
+    monkeypatch.setattr(msp, "cor45_expand", patched)
+    code, out, err = run_cli(capsys, "verify", "run", "--max-n", "8")
+    assert code == 1
+    assert ("FAIL  cor4.5-expansion  [1<=k<=n<=8]  -- raised ValueError: value has denominator"
+            " X1^1") in out.splitlines()
+    assert out.splitlines()[-1] == "31 checks, 1 failure(s)"
+    assert "usage:" not in err
+    assert err.count("timing:") == 31
+
+
 def test_usage_errors_exit_2(capsys):
     for argv in (
         ["msp", "gen", "--kind", "Q", "--n", "3"],
@@ -258,6 +297,26 @@ def test_usage_errors_exit_2(capsys):
             cli.main(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+# no parser takes a prefix of an option name, so argparse and the
+# negative-list join read the same full names
+@pytest.mark.parametrize("argv, message", [
+    (["series", "revert", "--coeff", "3/4,5", "--order", "2"],
+     "the following arguments are required: --coeffs"),
+    (["series", "revert", "--coeff", "-3/4,5", "--order", "2"],
+     "the following arguments are required: --coeffs"),
+    (["msp", "gen", "--kind", "S", "--n", "3", "--for", "text"],
+     "unrecognized arguments: --for text"),
+    (["verify", "run", "--max", "8"], "the following arguments are required: --max-n"),
+], ids=["coeff", "coeff-negative", "for", "max"])
+def test_option_names_must_be_given_in_full(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_gen_depth_limit_and_force(capsys):

@@ -277,3 +277,36 @@ def test_counterexample_names_cell_or_trial_and_both_values(
     result = verify.run_suite(5, selection=[check_id])[0]
     assert not result.passed
     assert result.counterexample == want(*corruption)
+
+
+def _raise_at(n, exc):
+    """A stand-in for msp.cor45_expand that raises `exc` at row n."""
+    real = msp.cor45_expand
+
+    def patched(m, k, cache=None):
+        if m == n:
+            raise exc
+        return real(m, k, cache)
+
+    return patched
+
+
+def test_a_check_that_raises_fails_and_the_suite_goes_on(monkeypatch):
+    monkeypatch.setattr(msp, "cor45_expand",
+                        _raise_at(7, ValueError("value has denominator X1^1")))
+    results = verify.run_suite(8)
+    assert len(results) == len(verify.check_ids()) == 31
+    failed = [r for r in results if not r.passed]
+    assert [r.check_id for r in failed] == ["cor4.5-expansion"]
+    assert failed[0].counterexample == "raised ValueError: value has denominator X1^1"
+    assert failed[0].wall_ms >= 0
+    line = "FAIL  cor4.5-expansion  [1<=k<=n<=8]  -- raised ValueError: value has denominator X1^1"
+    assert line in verify.report_text(results).splitlines()
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt(), SystemExit(3)],
+                         ids=["KeyboardInterrupt", "SystemExit"])
+def test_an_interrupt_inside_a_check_still_stops_the_suite(monkeypatch, exc):
+    monkeypatch.setattr(msp, "cor45_expand", _raise_at(2, exc))
+    with pytest.raises(type(exc)):
+        verify.run_suite(4)
