@@ -2,12 +2,12 @@
 
 Subcommands: msp gen, stirling table, series {revert|compose|exp-transform},
 ptypes list, verify run.  Each leaf parser names its handler with
-set_defaults(run=...), and main calls it.  main builds only the part of the
-command tree that argv selects, and all of it at a level where argv names no
-command or leaf, so help texts and usage errors are those of the whole tree;
-the parser is built afresh on every call.  No parser takes a prefix of an
-option name (allow_abbrev=False), so argparse and the join of a negative
-coefficient list to its option read the same full names.  All
+set_defaults(run=...), and main calls it.  main builds only the parsers
+that argv names, one command and one leaf, and all of them at a level where
+argv names no command or leaf, so help texts and usage errors are those of
+the whole tree; the parser is built afresh on every call.  No parser takes
+a prefix of an option name (allow_abbrev=False), so argparse and the join
+of a negative coefficient list to its option read the same full names.  All
 machine-readable output goes to stdout, diagnostics to stderr.  Exit
 status: 0 on success, 1 on a check that fails or raises, a path
 disagreement or a reader that closed stdout early, 2 on usage errors.
@@ -57,11 +57,12 @@ _strict_int.__name__ = "int"  # argparse's error reads "invalid int value: '1_2'
 
 
 def _parse_coeffs(text: str) -> tuple[Fraction, ...]:
+    fields = text.split(",")
     try:
-        for field in text.split(","):
+        for field in fields:
             if not _COEFF.fullmatch(field):
                 raise ValueError(f"{field!r} is not an integer or p/q")
-        return tuple(map(Fraction, text.split(",")))
+        return tuple(map(Fraction, fields))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad coefficient list {text!r}: {exc}")
 
@@ -170,25 +171,33 @@ _COMMANDS = {
 
 
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for `argv`.  Every command name is registered, but only the
-    command that argv[0] names gets its leaves, and only the leaf that argv[1]
-    names gets its arguments.  Where argv names none, as with -h, nothing or a
-    typo, every child at that level is built, so help texts and errors read as
-    for the whole tree."""
+    """The parser for `argv`.  Only the command that argv[0] names is
+    registered, and only the leaf that argv[1] names gets its arguments.
+    Where argv names none, as with -h, nothing or a typo, every child at that
+    level is built, so help texts and errors read as for the whole tree.
+
+    With one command registered, the top-level usage line, which handlers
+    print with their usage errors, still lists all five: the metavar spells
+    them out.  It is set on that path only, because argparse also names the
+    action by its metavar in errors, and `mspkit bogus` must still read
+    "argument command: invalid choice".  Each add_subparsers call is given
+    its prog, which argparse would otherwise format with a HelpFormatter."""
     parser = argparse.ArgumentParser(
         prog="mspkit",
         description="Exact multivariate Stirling polynomials, number tables, "
         "series reversion and the identity-check suite.",
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     leaf = argv[1] if command and len(argv) > 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog,
+                                metavar="{" + ",".join(_COMMANDS) + "}" if command else None)
     for name, (text, leaves) in _COMMANDS.items():
-        p_command = sub.add_parser(name, help=text, allow_abbrev=False)
         if command not in (None, name):
             continue
-        leaf_sub = p_command.add_subparsers(dest="subcommand", required=True)
+        p_command = sub.add_parser(name, help=text, allow_abbrev=False)
+        leaf_sub = p_command.add_subparsers(dest="subcommand", required=True,
+                                            prog=p_command.prog)
         for leaf_name, (leaf_text, add_arguments) in leaves.items():
             if leaf in leaves and leaf_name != leaf:
                 continue

@@ -203,6 +203,13 @@ def all_parsers(parser):
     return [parser, *(q for p in below for q in all_parsers(p))]
 
 
+def subparsers(parser):
+    """The parsers that `parser`'s subparsers action registers, by name."""
+    action, = [action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction)]
+    return action.choices
+
+
 def test_every_parser_takes_full_option_names_only():
     parsers = all_parsers(cli._build_parser([]))
     assert len(parsers) == 1 + len(cli._COMMANDS) + sum(
@@ -678,13 +685,45 @@ def test_parser_for_argv_parses_it_as_the_whole_tree(capsys, argv):
 
 def test_parser_for_one_leaf_builds_no_other_subtree(capsys):
     parser = cli._build_parser(["series", "compose"])
+    assert list(subparsers(parser)) == ["series"]
     for argv, error in [
         (["series", "revert", "--coeffs", "1", "--order", "1"], "invalid choice: 'revert'"),
-        (["msp", "gen", "--kind", "S", "--n", "3"], "unrecognized arguments: gen"),
+        (["msp", "gen", "--kind", "S", "--n", "3"], "invalid choice: 'msp'"),
     ]:
         with pytest.raises(SystemExit):
             parser.parse_args(argv)
         assert error in capsys.readouterr().err
+
+
+# the one-command parser spells out all five commands in its usage line only:
+# errors still name the top-level and command-level actions by their dest
+@pytest.mark.parametrize("argv, error", [
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["msp", "bogus"], "argument subcommand: invalid choice: 'bogus'"),
+])
+def test_an_invalid_choice_names_the_action_by_its_dest(capsys, argv, error):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert error in capsys.readouterr().err
+
+
+def test_a_handler_usage_error_prints_the_whole_top_level_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["msp", "gen", "--kind", "S", "--n", "3", "--k", "0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[0] == (
+        "usage: mspkit [-h] {msp,stirling,series,ptypes,verify} ...")
+
+
+@pytest.mark.parametrize("leaf", LEAF_ARGS, ids=" ".join)
+def test_parser_for_one_leaf_names_its_parsers_as_the_whole_tree(leaf):
+    command, leaf_name = leaf
+    progs = []
+    for parser in (cli._build_parser([]), cli._build_parser([*leaf, *LEAF_ARGS[leaf]])):
+        p_command = subparsers(parser)[command]
+        progs.append((p_command.prog, subparsers(p_command)[leaf_name].prog))
+    assert progs[0] == progs[1] == (f"mspkit {command}", f"mspkit {command} {leaf_name}")
 
 
 @pytest.mark.parametrize("argv", [["ptypes", "list", "5", "2"],
