@@ -1,7 +1,8 @@
 """Truncated exponential generating functions and exact Lagrange inversion.
 
 A series f = sum f_n x^n / n! with f_0 = 0 is carried by its coefficient
-list f_1..f_N (Egf), each an int or a Fraction and stored as a Fraction;
+list f_1..f_N (Egf), each an int or a Fraction and stored as a Fraction (a
+plain Fraction as the object given, an int or a Fraction subclass converted);
 text is parsed by the caller (the CLI has its own grammar).  Composition
 and exp(t*f) take any such series.  Row n of exp(t*f) is the tuple of its
 n+1 t-coefficients, the Fractions at t^0..t^n.  Reversion (the
@@ -12,7 +13,8 @@ independent paths:
     revert_msp     the paper's signed coefficient sum over the partition
                    types P(2n-2, n-1), regrouped by part size
     revert_comtet  alternating sums of associated Bell polynomials evaluated
-                   at (0, f_2, ..., f_n) with exact negative powers of f_1
+                   at (0, f_2, ..., f_n) with exact negative powers of f_1,
+                   summed in ints at the cleared point
     revert_oracle  term-by-term solution of f(g(x)) = x by plain power-series
                    substitution in ordinary normalization, reading the
                    powers of g from an integer table filled one degree at
@@ -41,7 +43,8 @@ the helpers below, so it still shares no computation with the other paths.
                                       symbolic family, so it shares no
                                       computation with the other two paths
     revert_comtet                     the symbolic Bt_{n+k-1,k} (msp.assoc_bell)
-                                      evaluated at the cleared integers
+                                      evaluated at the cleared integers, each
+                                      value an integer added into an int sum
 """
 
 from __future__ import annotations
@@ -60,8 +63,10 @@ class Egf:
 
     Each coefficient is an int or a Fraction, as for the points of
     MPoly.eval_rat; anything else, such as a float, a bool, a Decimal or a
-    string, raises ValueError.  Immutable.  Series compare equal when their
-    coefficient lists do, whatever their subtype."""
+    string, raises ValueError.  A plain Fraction is stored as the object
+    given, and an int or a Fraction subclass as the equal Fraction.
+    Immutable.  Series compare equal when their coefficient lists do,
+    whatever their subtype."""
 
     __slots__ = ("coeffs",)
 
@@ -72,7 +77,10 @@ class Egf:
             raise ValueError(f"coefficients must be exact, got {coeffs!r}")
         if not coeffs:
             raise ValueError("at least one coefficient is required")
-        object.__setattr__(self, "coeffs", tuple(map(Fraction, coeffs)))
+        # a plain Fraction is kept as it is: Fraction(c) would only copy it
+        object.__setattr__(
+            self, "coeffs", tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -263,6 +271,8 @@ def revert_comtet(f: Egf, cache: msp.MspCache | None = None) -> EgfCoeffs:
     evaluated at the cleared integers a_j = D*f_j; Bt_{n+k-1,k} is
     homogeneous of degree k, so the value is
     D^n sum_k (-1)^k Bt_{n+k-1,k}(0, a_2, ..., a_n) a_1^(n-1-k) / a_1^(2n-1).
+    Each Bt value at that all-int point is an integer, so the sum over k is
+    taken in ints and each fbar_n is one exact division.
     """
     msp._resolve(cache)  # raises for a non-cache also at order 1, which reads no member
     f1 = _nonzero_f1(f)
@@ -272,7 +282,7 @@ def revert_comtet(f: Egf, cache: msp.MspCache | None = None) -> EgfCoeffs:
         point = [0] + a[2 : n + 1]
         total = 0
         for k in range(1, n):
-            value = msp.assoc_bell(n + k - 1, k, cache).eval_rat(point)
+            value = msp.assoc_bell(n + k - 1, k, cache).eval_rat(point).numerator
             if value:
                 total += (-1) ** k * value * a[1] ** (n - 1 - k)
         out.append(Fraction(total * D**n, a[1] ** (2 * n - 1)))

@@ -26,6 +26,7 @@ polynomial expansions in the msp module iterate it.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -236,16 +237,17 @@ def s1_via_assoc(n: int, k: int, assoc: NumberTable | None = None) -> int:
 def s2_via_cycle(n: int, k: int) -> int:
     """s2(n,k) as a signed cycle-function sum over P(2n-1-k, n-1).
 
-    The binomial ratio is not termwise integral, so the partial sums are
-    exact rationals; the total must come out an integer.
+    The ratio C(2n-2, k-1) / C(2n-2, r1) is not termwise integral, so the
+    cycle functions of the types with one r1 are summed in ints, and each
+    such sum adds one exact rational; the total must come out an integer.
     """
     _check_triangle(n, k)
     total = Fraction(0)
     top = comb(2 * n - 2, k - 1)
-    for r in partition_types(2 * n - 1 - k, n - 1):
-        r1 = r[0] if r else 0
+    # the types come in lex order, so those with one r1 are contiguous
+    for r1, types in groupby(partition_types(2 * n - 1 - k, n - 1), lambda r: r[0] if r else 0):
         sign = 1 if (r1 - (k - 1)) % 2 == 0 else -1
-        total += Fraction(sign * top, comb(2 * n - 2, r1)) * cycle_fn(r)
+        total += Fraction(sign * top * sum(map(cycle_fn, types)), comb(2 * n - 2, r1))
     if total.denominator != 1:
         raise ValueError(f"cycle-sum not integral at ({n},{k})")
     return int(total)

@@ -1,8 +1,11 @@
-"""Shared fixtures for the independence tests."""
+"""Shared fixtures: the independence tests' `forbid` and the counter of
+Fraction arithmetic, `count_fraction_ops`."""
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 
@@ -37,3 +40,27 @@ def forbid(monkeypatch):
             yield
 
     return forbidden
+
+
+@pytest.fixture
+def count_fraction_ops(monkeypatch):
+    """`with count_fraction_ops() as counts:` counts the calls to Fraction's
+    +, - and * methods in the block, by method name, in a Counter."""
+
+    @contextmanager
+    def counting():
+        counts = Counter()
+
+        def counted(name, method):
+            def wrapper(*args):
+                counts[name] += 1
+                return method(*args)
+
+            return wrapper
+
+        with monkeypatch.context() as m:
+            for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+                m.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
+            yield counts
+
+    return counting

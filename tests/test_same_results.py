@@ -1,12 +1,14 @@
 """Byte-identity of the outputs that define "same results".
 
-A refactor must leave the `verify` report and the `msp gen` output unchanged
-byte for byte.  The sha256 digests below were recorded before `stirling` and
-`series` shared one triangle builder, one Prop 5.5 kernel and one term
-renderer; the n = 20 rows of B and L were recorded while those two kinds
-were still weighed type by type, and those of S and A before S, B and L
-shared one entry into their descent.  A change that alters any of these outputs
-on purpose records new digests and says why in CHANGES.md.
+A refactor must leave the `verify` report, the `msp gen` output and the
+output of the three `series` commands unchanged byte for byte.  The sha256
+digests below were recorded before `stirling` and `series` shared one
+triangle builder, one Prop 5.5 kernel and one term renderer; the n = 20 rows
+of B and L were recorded while those two kinds were still weighed type by
+type, and those of S and A before S, B and L shared one entry into their
+descent.  The series digests were recorded while the Comtet reversion still
+summed in Fractions.  A change that alters any of these outputs on purpose
+records new digests and says why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -92,6 +94,35 @@ GEN26_DIGESTS = {
 }
 
 
+# the series commands of the CI workflow, with a list that starts with "-"
+# for revert and for compose, each at --order 12, 24 and 30
+SERIES_ARGS = {
+    "revert": ["series", "revert", "--coeffs", "2,1/3,-5,7/2,1,-1/9", "--path", "all"],
+    "revert-minus": ["series", "revert", "--coeffs=-3/4,5", "--path", "all"],
+    "compose": ["series", "compose", "--f", "2,1/3,-5,7/2", "--g", "1,-1/2,1/9"],
+    "compose-minus": ["series", "compose", "--f=-1,2", "--g", "1,1"],
+    "exp-transform": ["series", "exp-transform", "--coeffs", "2,1/3,-5,7/2"],
+}
+
+SERIES_DIGESTS = {
+    ("revert", 12): "e3e409e14776e1916aaa3c233a6aa693f90320bfa39604d477aab413cb76324c",
+    ("revert", 24): "917120d2a1976f1c658df4065816792f85f3f708e0a74f3646e19cf14cb96257",
+    ("revert", 30): "204cb82d829314d2197cd0652ee4f015d0543c1eaae80b362b54285ea9339b7c",
+    ("revert-minus", 12): "b476e8eab5d8487d675ae5788290645182c64ae18e05d0923e715fc7db53ebe4",
+    ("revert-minus", 24): "6d48d94be60d56a798f2b99e6861b82d1aa5a0c305303c75ec89cb6f40c84765",
+    ("revert-minus", 30): "fe80de5ba03f372a5551a6377a333ba10ed982546779b4a5065824bb4794855f",
+    ("compose", 12): "7e333071150598300f626f9b3a674cb72a108b62458d4e561fcba324cf5db5a3",
+    ("compose", 24): "b6ecb063397384ec82e995231774677ee45761418681ee19cd71c63e88cae527",
+    ("compose", 30): "e7c7198d4932315bea006aac29a1d6ba22c76a7aa081b248e2e3c404cc4417ab",
+    ("compose-minus", 12): "8850555477c02013e50c7335208da919897dbd3a2a2789147f18393fdbf63467",
+    ("compose-minus", 24): "e5901a995a960220a24d2c0116498ad5fb4056556332365c76130bc481ac3168",
+    ("compose-minus", 30): "b70df2e2443c22eaae8d7ccbd73071e6e3390c5fd45aac0002e4e2e012eeb495",
+    ("exp-transform", 12): "ffd211bd37af645ea7e9bdb4f7179663fa6eb9efd946bd100dc812c7da375242",
+    ("exp-transform", 24): "3ed6c87399cabff1abd89c98e0d75a81a02bb4e3e1af2d77099175dbd0a465ab",
+    ("exp-transform", 30): "3baaa6feab7cd9d8206fb7858d8129979689007754ef0689d0379d53e6a643ad",
+}
+
+
 @pytest.mark.parametrize("seed", sorted(REPORT_DIGESTS))
 def test_verify_report_digest(seed):
     report = verify.report_json(verify.run_suite(15, seed=seed), 15, seed)
@@ -126,3 +157,14 @@ def test_gen_row_26_digest(capsys, monkeypatch, kind, fmt):
     argv = ["msp", "gen", "--kind", kind, "--n", "26", "--format", fmt, "--force"]
     assert cli.main(argv) == 0
     assert sha256(capsys.readouterr().out) == GEN26_DIGESTS[kind, fmt]
+
+
+def test_series_digests_cover_every_command_at_each_order():
+    assert set(SERIES_DIGESTS) == {(name, order) for name in SERIES_ARGS for order in (12, 24, 30)}
+
+
+@pytest.mark.parametrize("name, order", sorted(SERIES_DIGESTS))
+def test_series_output_digest(capsys, monkeypatch, name, order):
+    monkeypatch.setattr(msp, "_DEFAULT_CACHE", msp.MspCache())
+    assert cli.main([*SERIES_ARGS[name], "--order", str(order)]) == 0
+    assert sha256(capsys.readouterr().out) == SERIES_DIGESTS[name, order]

@@ -384,6 +384,26 @@ def test_plain_egf_allows_zero_f1():
 
 
 @pytest.mark.parametrize("cls", [series.Egf, EgfCoeffs])
+def test_egf_keeps_a_plain_fraction_and_converts_ints_and_subclasses(cls):
+    class Third(Fraction):
+        pass
+
+    half = F(1, 2)
+    f = cls((3, half, Third(1, 3)))
+    assert f.coeffs[1] is half
+    assert f.coeffs == (F(3), F(1, 2), F(1, 3))
+    assert [type(c) for c in f.coeffs] == [Fraction] * 3
+    assert f == series.Egf((F(3), F(1, 2), F(1, 3)))
+    assert hash(f) == hash((F(3), F(1, 2), F(1, 3)))
+    # truncate keeps the stored objects and pads with plain zeros
+    longer = f.truncate(5)
+    assert type(longer) is cls
+    assert all(a is b for a, b in zip(longer.coeffs, f.coeffs))
+    assert longer.coeffs[3:] == (0, 0) and {type(c) for c in longer.coeffs} == {Fraction}
+    assert f.truncate(2).coeffs[1] is half
+
+
+@pytest.mark.parametrize("cls", [series.Egf, EgfCoeffs])
 def test_egf_values_are_immutable(cls):
     f = cls(coeffs=(1, F(1, 2)))
     assert repr(f) == f"{cls.__name__}(coeffs=(Fraction(1, 1), Fraction(1, 2)))"
@@ -531,6 +551,16 @@ def test_revert_comtet_matches_both_at_orders_9_to_14():
 def test_revert_comtet_matches_oracle_at_order_30():
     f = random_egf(random.Random("comtet-30"), 30)
     assert series.revert_comtet(f, msp.MspCache()) == series.revert_oracle(f)
+
+
+def test_revert_comtet_sums_in_ints(count_fraction_ops):
+    f = random_egf(random.Random("comtet-ints"), 14)
+    cache = msp.MspCache()
+    want = series.revert_oracle(f)
+    assert series.revert_comtet(f, cache) == want  # fills the cache
+    with count_fraction_ops() as counts:
+        assert series.revert_comtet(f, cache) == want
+    assert not counts
 
 
 def fraction_power_table_oracle(f: EgfCoeffs) -> EgfCoeffs:

@@ -302,6 +302,20 @@ def test_s2_via_cycle():
         assert stirling.s2_via_cycle(n, n) == 1
 
 
+def test_s2_via_cycle_adds_one_fraction_per_r1(count_fraction_ops):
+    t = stirling.s2_table(12)
+    all_types = all_groups = 0
+    for k in range(1, 13):
+        types = partition_types(23 - k, 11)
+        groups = len({r[0] for r in types})
+        with count_fraction_ops() as counts:
+            assert stirling.s2_via_cycle(12, k) == t.value(12, k)
+        assert sum(counts.values()) == counts["__add__"] <= groups, k
+        all_types += len(types)
+        all_groups += groups
+    assert 2 * all_groups < all_types  # 67 groups, 195 types
+
+
 # ---------------------------------------------------------------------------
 # inversion identities
 # ---------------------------------------------------------------------------
